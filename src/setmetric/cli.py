@@ -121,38 +121,35 @@ def _nested_operand(ws: Workspace, text: str) -> NestedSet:
     return level1[0]
 
 
+# family -> (metric, a, b, args, lam) -> value, for the finite-set families
+_FINITE_DISTANCES = {
+    "f": lambda m, a, b, args, lam: average_metric(m, a, b),
+    "g": lambda m, a, b, args, lam: group_average(m, a, b),
+    "e": lambda m, a, b, args, lam: semi_metric(m, a, b),
+    "h": lambda m, a, b, args, lam: hausdorff(m, a, b),
+    "j": lambda m, a, b, args, lam: jaccard(a, b),
+    "symdiff": lambda m, a, b, args, lam: float(symdiff_cardinality(a, b)),
+    "u": lambda m, a, b, args, lam: pointwise_mean_distance(
+        m, a, b, i=args.i, j=args.j, p=args.p, q=args.q
+    ),
+    "v": lambda m, a, b, args, lam: sidewise_mean_distance(
+        m, a, b, k=args.k, i=args.i, j=args.j, r=args.r, p=args.p, q=args.q
+    ),
+    "u00": lambda m, a, b, args, lam: closed_form_pointwise_discrete(a, b, args.p, lam),
+    "v000": lambda m, a, b, args, lam: closed_form_sidewise_discrete(a, b, args.p, lam),
+    "dnu": lambda m, a, b, args, lam: log_cardinality_distance(a, b, args.nu),
+}
+
+
 def _finite_distance_fn(ws: Workspace, args):
     """Closure (a, b) -> value for the chosen finite-set family."""
-    family = args.family
+    try:
+        distance = _FINITE_DISTANCES[args.family]
+    except KeyError:
+        raise ParameterError(f"family {args.family!r} is not a finite-set family") from None
     m = ws.metric
     lam = args.lam if args.lam is not None else _default_lam(ws)
-    if family == "f":
-        return lambda a, b: average_metric(m, a, b)
-    if family == "g":
-        return lambda a, b: group_average(m, a, b)
-    if family == "e":
-        return lambda a, b: semi_metric(m, a, b)
-    if family == "h":
-        return lambda a, b: hausdorff(m, a, b)
-    if family == "j":
-        return lambda a, b: jaccard(a, b)
-    if family == "symdiff":
-        return lambda a, b: float(symdiff_cardinality(a, b))
-    if family == "u":
-        return lambda a, b: pointwise_mean_distance(
-            m, a, b, i=args.i, j=args.j, p=args.p, q=args.q
-        )
-    if family == "v":
-        return lambda a, b: sidewise_mean_distance(
-            m, a, b, k=args.k, i=args.i, j=args.j, r=args.r, p=args.p, q=args.q
-        )
-    if family == "u00":
-        return lambda a, b: closed_form_pointwise_discrete(a, b, args.p, lam)
-    if family == "v000":
-        return lambda a, b: closed_form_sidewise_discrete(a, b, args.p, lam)
-    if family == "dnu":
-        return lambda a, b: log_cardinality_distance(a, b, args.nu)
-    raise ParameterError(f"family {family!r} is not a finite-set family")
+    return lambda a, b: distance(m, a, b, args, lam)
 
 
 def _pair_value(ws: Workspace, args, name_a: str, name_b: str) -> float:

@@ -24,6 +24,7 @@ set, and evaluate the finite-set metric on the intersections.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
@@ -35,6 +36,8 @@ from .core import (
     ElementId,
     ElementRegistry,
     FiniteSet,
+    _fsum_cross,
+    _set_average,
     average_metric,
 )
 from .errors import (
@@ -55,6 +58,8 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ParameterError(f"interval bounds must be finite: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ParameterError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
@@ -341,15 +346,27 @@ def _abs_cross_sum(xs: np.ndarray, ys: np.ndarray) -> float:
 
 def _average_metric_1d(xs: np.ndarray, ys: np.ndarray) -> float:
     # Finite-set average metric over sorted unique 1-d points with d = |x-y|.
-    union_size = len(np.union1d(xs, ys))
-    b_only = np.setdiff1d(ys, xs, assume_unique=True)
-    a_only = np.setdiff1d(xs, ys, assume_unique=True)
-    total = 0.0
-    if b_only.size:
-        total += _abs_cross_sum(xs, b_only) / (union_size * len(xs))
-    if a_only.size:
-        total += _abs_cross_sum(a_only, ys) / (union_size * len(ys))
-    return total
+    return _set_average(xs, ys, _abs_cross_sum,
+                        difference=functools.partial(np.setdiff1d, assume_unique=True))
+
+
+def _sample_sides(a: Membership, b: Membership, plan: SamplePlan) -> tuple:
+    """The plan's sample intersected with A and with B: arrays of sorted
+    unique points for an interval population, id sets for a finite one."""
+    if isinstance(plan.population, IntervalUnion):
+        points = _sample_interval_points(plan.population, plan)
+
+        def side(membership: Membership) -> np.ndarray:
+            inside = _member_test(membership)
+            return points[np.fromiter((inside(float(x)) for x in points), bool, len(points))]
+
+        return side(a), side(b)
+    ids = list(plan.population.members)
+    if not ids:
+        raise ParameterError("finite sampling population is empty")
+    rng = np.random.default_rng(plan.seed)
+    drawn = {ids[k] for k in rng.integers(0, len(ids), plan.n)}
+    return drawn & a.ids, drawn & b.ids  # type: ignore[union-attr]
 
 
 def estimate_average_metric(
@@ -366,41 +383,23 @@ def estimate_average_metric(
     intersection comes out empty; an empty sample is reported, never papered
     over.
     """
-    if isinstance(plan.population, IntervalUnion):
-        points = _sample_interval_points(plan.population, plan)
-        in_a = _member_test(a)
-        in_b = _member_test(b)
-        mask_a = np.fromiter((in_a(float(x)) for x in points), bool, len(points))
-        mask_b = np.fromiter((in_b(float(x)) for x in points), bool, len(points))
-        sample_a = points[mask_a]
-        sample_b = points[mask_b]
-        if sample_a.size == 0 or sample_b.size == 0:
-            raise SamplingError(
-                f"sample missed a set entirely (|S∩A|={sample_a.size}, "
-                f"|S∩B|={sample_b.size}); increase n or fix the population"
-            )
-        value = _average_metric_1d(sample_a, sample_b)
-        return EstimateResult(value, int(sample_a.size), int(sample_b.size))
-
-    population: FiniteSet = plan.population
-    if metric is None:
-        raise ParameterError("finite-population estimation needs a ground metric")
-    if not isinstance(a, FiniteSet) or not isinstance(b, FiniteSet):
-        raise ParameterError("finite-population estimation expects FiniteSet operands")
-    ids = list(population.members)
-    if not ids:
-        raise ParameterError("finite sampling population is empty")
-    rng = np.random.default_rng(plan.seed)
-    drawn = {ids[k] for k in rng.integers(0, len(ids), plan.n)}
-    registry = population.registry
-    sample_a = registry.set_of(drawn & a.ids)
-    sample_b = registry.set_of(drawn & b.ids)
-    if not sample_a.members or not sample_b.members:
+    finite = not isinstance(plan.population, IntervalUnion)
+    if finite:
+        if metric is None:
+            raise ParameterError("finite-population estimation needs a ground metric")
+        if not isinstance(a, FiniteSet) or not isinstance(b, FiniteSet):
+            raise ParameterError("finite-population estimation expects FiniteSet operands")
+    sample_a, sample_b = _sample_sides(a, b, plan)
+    if not len(sample_a) or not len(sample_b):
         raise SamplingError(
             f"sample missed a set entirely (|S∩A|={len(sample_a)}, "
             f"|S∩B|={len(sample_b)}); increase n or fix the population"
         )
-    value = average_metric(metric, sample_a, sample_b)
+    if finite:
+        registry = plan.population.registry
+        value = average_metric(metric, registry.set_of(sample_a), registry.set_of(sample_b))
+    else:
+        value = _average_metric_1d(sample_a, sample_b)
     return EstimateResult(value, len(sample_a), len(sample_b))
 
 
@@ -408,23 +407,10 @@ def sample_count_ratio(a: Membership, b: Membership, plan: SamplePlan) -> float:
     """|S∩A| / |S∩B| for the plan's sample: the finite-sample stand-in for a
     relative measure of A against B. Zero numerator gives 0; an empty
     denominator sample is an error."""
-    if isinstance(plan.population, IntervalUnion):
-        points = _sample_interval_points(plan.population, plan)
-        in_a = _member_test(a)
-        in_b = _member_test(b)
-        count_a = sum(1 for x in points if in_a(float(x)))
-        count_b = sum(1 for x in points if in_b(float(x)))
-    else:
-        ids = list(plan.population.members)
-        if not ids:
-            raise ParameterError("finite sampling population is empty")
-        rng = np.random.default_rng(plan.seed)
-        drawn = {ids[k] for k in rng.integers(0, len(ids), plan.n)}
-        count_a = len(drawn & a.ids)  # type: ignore[union-attr]
-        count_b = len(drawn & b.ids)  # type: ignore[union-attr]
-    if count_b == 0:
+    sample_a, sample_b = _sample_sides(a, b, plan)
+    if not len(sample_b):
         raise SamplingError("denominator set missed by the sample")
-    return count_a / count_b
+    return len(sample_a) / len(sample_b)
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +494,4 @@ def fuzzy_distance(
             cache[key] = average_metric(m, registry.set_of(s), registry.set_of(t))
         return cache[key] + alpha_weight * abs(alpha - beta)
 
-    n_union = len(coll_a | coll_b)
-    total = 0.0
-    b_only = coll_b - coll_a
-    if b_only:
-        total += math.fsum(
-            pair_distance(p, q) for p in coll_a for q in b_only
-        ) / (n_union * len(coll_a))
-    a_only = coll_a - coll_b
-    if a_only:
-        total += math.fsum(
-            pair_distance(p, q) for p in a_only for q in coll_b
-        ) / (n_union * len(coll_b))
-    return total
+    return _set_average(coll_a, coll_b, _fsum_cross(pair_distance))

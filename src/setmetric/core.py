@@ -16,13 +16,20 @@ The distance family on finite sets:
 * ``hausdorff``           max over both directed sup-inf distances
 * ``jaccard``             |A△B| / |A∪B|, the discrete-metric special case of
                           ``average_metric``
+
+The construction behind ``average_metric`` is written once, in
+``_set_average``; the nested, duality, fuzzy and sampled 1-d distances call
+it with their own inner distance.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -316,6 +323,12 @@ def min_cross_distance(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     return min(m.distance(x, y) for x in a.elements() for y in eb)
 
 
+def _ground_sum(m: BaseMetric, registry: ElementRegistry, xs: Iterable, ys: Iterable) -> float:
+    element = registry.element  # resolve each id once, not once per pair
+    ey = [element(y) for y in ys]
+    return math.fsum(m.distance(x, y) for x in map(element, xs) for y in ey)
+
+
 def pair_sum(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     """Sum of all pairwise ground distances; empty operands contribute 0.
 
@@ -323,10 +336,7 @@ def pair_sum(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     average-based distances lean on.
     """
     _require_same_registry("pair_sum", a, b)
-    if not a.members or not b.members:
-        return 0.0
-    eb = b.elements()
-    return math.fsum(m.distance(x, y) for x in a.elements() for y in eb)
+    return _ground_sum(m, a.registry, a.members, b.members)
 
 
 def _triangle_surplus_raw(m: BaseMetric, a: FiniteSet, b: FiniteSet, c: FiniteSet) -> float:
@@ -356,6 +366,28 @@ def group_average(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     return pair_sum(m, a, b) / (len(a) * len(b))
 
 
+def _set_average(
+    a: Collection, b: Collection, cross_sum: Callable, difference: Callable = operator.sub
+) -> float:
+    """The average-distance construction on two non-empty collections,
+    s(A, B\\A) / (|A∪B| |A|) + s(A\\B, B) / (|A∪B| |B|), where
+    ``cross_sum(xs, ys)`` is s, the sum of inner distances over xs × ys."""
+    b_only = difference(b, a)
+    a_only = difference(a, b)
+    n_union = len(a) + len(b_only)
+    total = 0.0
+    if len(b_only):
+        total += cross_sum(a, b_only) / (n_union * len(a))
+    if len(a_only):
+        total += cross_sum(a_only, b) / (n_union * len(b))
+    return total
+
+
+def _fsum_cross(distance: Callable) -> Callable:
+    """A ``cross_sum`` for ``_set_average`` from an inner distance on pairs."""
+    return lambda xs, ys: math.fsum(distance(x, y) for x in xs for y in ys)
+
+
 def average_metric(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     """Average-distance metric on non-empty finite sets.
 
@@ -368,15 +400,14 @@ def average_metric(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     """
     _require_same_registry("average_metric", a, b)
     _require_nonempty("average_metric", a, b)
-    n_union = len(a.ids | b.ids)
-    total = 0.0
-    b_only = b.difference(a)
-    if b_only.members:
-        total += pair_sum(m, a, b_only) / (n_union * len(a))
-    a_only = a.difference(b)
-    if a_only.members:
-        total += pair_sum(m, a_only, b) / (n_union * len(b))
-    return total
+    return _set_average(
+        a, b, functools.partial(_ground_sum, m, a.registry), difference=_members_not_in
+    )
+
+
+def _members_not_in(s: FiniteSet, t: FiniteSet) -> list[ElementId]:
+    # Canonical order, so a failing ground distance names the same pair on every run.
+    return list(itertools.filterfalse(t.ids.__contains__, s.members))
 
 
 def semi_metric(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:

@@ -15,13 +15,21 @@ constant multiple of the ground distance, with the ratio in (0, 1).
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
-from .core import BaseMetric, ElementId, ElementRegistry, FiniteSet, _id_sort_key
+from .core import (
+    BaseMetric,
+    ElementId,
+    ElementRegistry,
+    FiniteSet,
+    _fsum_cross,
+    _id_sort_key,
+    _set_average,
+)
 from .errors import DomainError, EmptySetError, LevelMismatchError, ParameterError
 
 NestedValue = Union[ElementId, frozenset]
@@ -85,20 +93,9 @@ def nested_average_metric(
         )
     if a.level == 0:
         return m.distance(registry.element(a.value), registry.element(b.value))
-    kids_a, kids_b = a.value, b.value
-    n_union = len(kids_a | kids_b)
-    total = 0.0
-    b_only = kids_b - kids_a
-    if b_only:
-        total += math.fsum(
-            nested_average_metric(m, registry, x, y) for x in kids_a for y in b_only
-        ) / (n_union * len(kids_a))
-    a_only = kids_a - kids_b
-    if a_only:
-        total += math.fsum(
-            nested_average_metric(m, registry, x, y) for x in a_only for y in kids_b
-        ) / (n_union * len(kids_b))
-    return total
+    return _set_average(
+        a.value, b.value, _fsum_cross(functools.partial(nested_average_metric, m, registry))
+    )
 
 
 def containing_collection(eid: ElementId, x: FiniteSet, max_size: int = 20) -> NestedSet:
@@ -110,12 +107,18 @@ def containing_collection(eid: ElementId, x: FiniteSet, max_size: int = 20) -> N
         raise ParameterError(
             f"ground set of {len(x)} elements would enumerate 2^{len(x) - 1} subsets"
         )
-    rest = [m for m in x.members if m != eid]
-    subsets = []
+    return NestedSet.of(
+        NestedSet.of(NestedSet.leaf(i) for i in subset)
+        for subset in _subsets_containing(eid, x.members)
+    )
+
+
+def _subsets_containing(eid: ElementId, members: Iterable[ElementId]) -> Iterator[tuple]:
+    """Every subset of ``members`` that contains ``eid``, smallest first."""
+    rest = [m for m in members if m != eid]
     for size in range(len(rest) + 1):
         for combo in itertools.combinations(rest, size):
-            subsets.append(NestedSet.of(NestedSet.leaf(i) for i in (eid, *combo)))
-    return NestedSet.of(subsets)
+            yield (eid, *combo)
 
 
 # ---------------------------------------------------------------------------
@@ -125,26 +128,6 @@ def containing_collection(eid: ElementId, x: FiniteSet, max_size: int = 20) -> N
 
 def _scaled_jaccard(s: frozenset, t: frozenset, lam: float) -> float:
     return lam * len(s ^ t) / len(s | t)
-
-
-def _collection_distance(colla: frozenset, collb: frozenset, lam: float) -> float:
-    # Average-distance construction with the scaled Jaccard distance as the
-    # inner metric; equivalent to the level-2 nested metric under a discrete
-    # ground distance but without NestedSet overhead.
-    union = colla | collb
-    n_union = len(union)
-    total = 0.0
-    b_only = collb - colla
-    if b_only:
-        total += math.fsum(
-            _scaled_jaccard(s, t, lam) for s in colla for t in b_only
-        ) / (n_union * len(colla))
-    a_only = colla - collb
-    if a_only:
-        total += math.fsum(
-            _scaled_jaccard(s, t, lam) for s in a_only for t in collb
-        ) / (n_union * len(collb))
-    return total
 
 
 def duality_ratio(
@@ -165,19 +148,15 @@ def duality_ratio(
     if not lam > 0:
         raise ParameterError(f"discrete scale must be positive, got {lam}")
     members = x.members
-    collections = {}
-    for eid in members:
-        rest = [m for m in members if m != eid]
-        subsets = []
-        for size in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, size):
-                subsets.append(frozenset((eid, *combo)))
-        collections[eid] = frozenset(subsets)
+    collections = {
+        eid: frozenset(map(frozenset, _subsets_containing(eid, members))) for eid in members
+    }
+    inner = _fsum_cross(functools.partial(_scaled_jaccard, lam=lam))
 
     table = []
     ratios = []
     for ia, ib in itertools.combinations(members, 2):
-        d2 = _collection_distance(collections[ia], collections[ib], lam)
+        d2 = _set_average(collections[ia], collections[ib], inner)
         table.append((ia, ib, d2))
         ratios.append(d2 / lam)
     spread = max(ratios) - min(ratios)

@@ -29,12 +29,14 @@ nu < 1/2 and a true metric at nu = 1/2.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 from .core import BaseMetric, FiniteSet, _require_nonempty, _require_same_registry
 from .errors import ParameterError
 
 _INF = float("inf")
+_TINY = sys.float_info.min  # smallest positive normal float
 
 
 def _validated(
@@ -77,29 +79,29 @@ def power_mean(values: Sequence[float], weights: Sequence[float] | None = None, 
         return min(vals)
     active = [(v, w) for v, w in zip(vals, wts) if w > 0.0]
     wsum = math.fsum(w for _, w in active)
-    if p == 0:
-        if any(v == 0.0 for v, _ in active):
-            return 0.0
-        return math.exp(math.fsum(w * math.log(v) for v, w in active) / wsum)
-    if p < 0 and any(v == 0.0 for v, _ in active):
+    if p <= 0 and any(v == 0.0 for v, _ in active):
         return 0.0
     if p == 1:
         return math.fsum(w * v for v, w in active) / wsum
-    # Factor out the extreme value so the powered ratios stay in (0, 1], and
-    # accumulate (v/m)^p - 1 via expm1 so orders arbitrarily close to 0
-    # degrade gracefully into the geometric-mean limit instead of rounding
-    # the whole sum to 1.
-    m = max(v for v, _ in active) if p > 0 else min(v for v, _ in active)
-    if m == 0.0:
-        return 0.0
-
-    def term(v: float, w: float) -> float:
-        if v == 0.0:  # only reachable for p > 0, where 0^p = 0
-            return -w
-        return w * math.expm1(p * math.log(v / m))
-
-    delta = math.fsum(term(v, w) for v, w in active)
-    return m * math.exp(math.log1p(delta / wsum) / p)
+    if p != 0:
+        # Factor out the extreme value so the powered ratios stay in (0, 1],
+        # and accumulate (v/m)^p - 1 via expm1 so orders arbitrarily close to
+        # 0 degrade gracefully into the geometric-mean limit instead of
+        # rounding the whole sum to 1.
+        m = max(v for v, _ in active) if p > 0 else min(v for v, _ in active)
+        if m == 0.0:
+            return 0.0
+        # log(0/m) = -inf makes a zero value's term -w, since 0^p = 0 for p > 0
+        logs = [math.log(v / m) if v else -_INF for v, _ in active]
+        spread = max(map(abs, logs))
+        # Once |p| * spread is below the smallest normal float, p * log(v/m)
+        # keeps too few bits to be divided by p again, and the order moves
+        # the mean by far less than one rounding unit: the order-0 limit is
+        # returned instead. Equal values need no cutoff; every term is 0.
+        if not (spread > 0.0 and spread * abs(p) < _TINY):
+            delta = math.fsum(w * math.expm1(p * x) for x, (_, w) in zip(logs, active))
+            return m * math.exp(math.log1p(delta / wsum) / p)
+    return math.exp(math.fsum(w * math.log(v) for v, w in active) / wsum)
 
 
 def exp_mean(values: Sequence[float], weights: Sequence[float] | None = None, p: float = 1.0) -> float:
@@ -115,7 +117,11 @@ def exp_mean(values: Sequence[float], weights: Sequence[float] | None = None, p:
         return min(vals)
     active = [(v, w) for v, w in zip(vals, wts) if w > 0.0]
     wsum = math.fsum(w for _, w in active)
-    if p == 0:
+    # As in power_mean: once |p| * spread is below the smallest normal float,
+    # p * v keeps too few bits to be divided by p again, and the order-0
+    # limit is correct to within rounding.
+    spread = max(active)[0] - min(active)[0]
+    if p == 0 or spread * abs(p) < _TINY:
         return math.fsum(w * v for v, w in active) / wsum
     # Shift by the largest exponent and accumulate e^(p v - shift) - 1 via
     # expm1: immune to overflow for large p*v and to cancellation near p = 0.

@@ -22,6 +22,7 @@ only registered ids; violations are reported at load time.
 from __future__ import annotations
 
 import json
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from .core import (
     LpMetric,
     MatrixMetric,
 )
-from .errors import ParameterError
 
 
 class WorkspaceError(ValueError):
@@ -55,6 +55,8 @@ def metric_from_config(config: dict) -> BaseMetric:
     if not isinstance(config, dict) or "kind" not in config:
         raise WorkspaceError('metric config must be an object with a "kind"')
     kind = config["kind"]
+    if kind == "matrix" and ("ids" not in config or "values" not in config):
+        raise WorkspaceError('matrix metric needs "ids" and "values"')
     try:
         if kind == "discrete":
             return DiscreteMetric(lam=float(config.get("lambda", 1.0)))
@@ -63,14 +65,12 @@ def metric_from_config(config: dict) -> BaseMetric:
         if kind == "lp":
             return LpMetric(p=float(config.get("p", 2.0)))
         if kind == "matrix":
-            if "ids" not in config or "values" not in config:
-                raise WorkspaceError('matrix metric needs "ids" and "values"')
             return MatrixMetric(
                 ids=config["ids"],
                 values=config["values"],
                 pseudo=bool(config.get("pseudo", False)),
             )
-    except ParameterError as exc:
+    except (TypeError, ValueError) as exc:  # ParameterError is a ValueError
         raise WorkspaceError(f"invalid metric config: {exc}") from exc
     raise WorkspaceError(f"unknown metric kind {kind!r}")
 
@@ -78,14 +78,20 @@ def metric_from_config(config: dict) -> BaseMetric:
 def parse_workspace(doc: dict) -> Workspace:
     if not isinstance(doc, dict):
         raise WorkspaceError("workspace must be a JSON object")
+    for key in ("elements", "sets", "intervals", "fuzzy"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise WorkspaceError(f'"{key}" must be a JSON object')
     metric = metric_from_config(doc.get("metric", {"kind": "euclidean"}))
     registry = ElementRegistry()
     for eid, payload in doc.get("elements", {}).items():
-        registry.add(eid, payload)
+        try:
+            registry.add(eid, payload)
+        except (TypeError, ValueError) as exc:
+            raise WorkspaceError(f"element {eid!r} has a malformed payload: {exc}") from exc
 
     sets: dict[str, FiniteSet] = {}
     for name, ids in doc.get("sets", {}).items():
-        if not isinstance(ids, list):
+        if not isinstance(ids, list) or not all(isinstance(eid, Hashable) for eid in ids):
             raise WorkspaceError(f"set {name!r} must be a list of ids")
         missing = [eid for eid in ids if eid not in registry]
         if missing:
@@ -108,7 +114,7 @@ def parse_workspace(doc: dict) -> Workspace:
             raise WorkspaceError(f"fuzzy set {name!r} references unknown ids {missing}")
         try:
             fuzzy[name] = FuzzySet(membership)
-        except ParameterError as exc:
+        except (TypeError, ValueError) as exc:
             raise WorkspaceError(f"fuzzy set {name!r} is invalid: {exc}") from exc
 
     return Workspace(registry=registry, metric=metric, sets=sets,

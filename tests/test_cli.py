@@ -113,6 +113,25 @@ class TestDist:
         assert result.stdout == "1\n"  # hausdorff under the discrete metric
 
 
+@pytest.mark.parametrize("doc, argv", [
+    ({"elements": [1, 2]}, ["--family", "f", "A", "B"]),
+    ({"sets": ["A"]}, ["--family", "f", "A", "B"]),
+    ({"sets": {"A": [["a"]]}}, ["--family", "f", "A", "B"]),
+    ({"intervals": [[0, 1]]}, ["--family", "steinhaus", "I", "J"]),
+    ({"fuzzy": "FA"}, ["--family", "fuzzy", "FA", "FB"]),
+    ({"metric": {"kind": "lp", "p": "x"}}, ["--family", "f", "A", "B"]),
+    ({"intervals": {"I": [[0, "inf"]], "J": [[0, 1]]}}, ["--family", "steinhaus", "I", "J"]),
+    ({"intervals": {"I": [["nan", 1]], "J": [[0, 1]]}}, ["--family", "steinhaus", "I", "J"]),
+])
+def test_malformed_workspace_exits_2(tmp_path, doc, argv):
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("dist", "--workspace", str(path), *argv)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
 class TestMatrix:
     def test_symmetric_zero_diagonal_csv(self, ws):
         result = run_cli("matrix", "--workspace", ws, "--family", "f", "A", "B", "C")

@@ -75,6 +75,12 @@ class TestIntervalUnion:
         with pytest.raises(ParameterError):
             Interval(2, 1)
 
+    @pytest.mark.parametrize("lo, hi", [(0, float("inf")), (float("-inf"), 0),
+                                        (float("nan"), 1), (0, float("nan"))])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ParameterError):
+            Interval(lo, hi)
+
     def test_measure(self):
         assert U((0, 1), (2, 4)).measure == 3.0
 

@@ -4,10 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from setmetric import (
     DiscreteMetric,
     DomainError,
+    ElementRegistry,
     EmptySetError,
     EuclideanMetric,
     LevelMismatchError,
@@ -49,6 +52,23 @@ class TestNestedSet:
 
 
 class TestNestedMetric:
+    # The registry fixture is read-only, so sharing it across examples is safe.
+    @pytest.mark.parametrize("registry_kind", ["line", "random"])
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_level_one_equals_flat_metric_exactly(self, registry_kind, line_registry, euclid, data):
+        if registry_kind == "line":
+            registry = line_registry
+        else:
+            coord = st.floats(-100, 100, allow_nan=False)
+            points = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
+            registry = ElementRegistry(dict(enumerate(points)))
+        ids = st.sets(st.sampled_from(registry.ids()), min_size=1)
+        a, b = registry.set_of(data.draw(ids)), registry.set_of(data.draw(ids))
+        na = NestedSet.of(NestedSet.leaf(i) for i in a)
+        nb = NestedSet.of(NestedSet.leaf(i) for i in b)
+        assert nested_average_metric(euclid, registry, na, nb) == average_metric(euclid, a, b)
+
     def test_level_one_matches_flat_metric(self, line_registry, euclid):
         rng = random.Random(12)
         sampler = subset_triple_sampler(line_registry, 1, 6)

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setmetric import (
@@ -78,6 +78,7 @@ class TestPowerMean:
         p_lo=st.floats(-20, 20),
         p_hi=st.floats(-20, 20),
     )
+    @example(values=[0.75, 0.125], p_lo=0.0, p_hi=5e-324)
     def test_monotone_in_order(self, values, p_lo, p_hi):
         lo, hi = sorted((p_lo, p_hi))
         assert power_mean(values, None, lo) <= power_mean(values, None, hi) + 1e-9
@@ -108,6 +109,10 @@ class TestExpMean:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ParameterError):
             exp_mean([1.0], [0.0], 1.0)
+
+    @pytest.mark.parametrize("p", [5e-324, -5e-324])
+    def test_subnormal_order_stays_within_range(self, p):
+        assert 0.125 <= exp_mean([0.75, 0.125], None, p) <= 0.75
 
 
 @pytest.fixture(scope="module")
