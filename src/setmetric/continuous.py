@@ -120,8 +120,15 @@ class IntervalUnion:
             raise NullMeasureError("empty interval union has no bounds")
         return self.parts[-1].hi
 
+    @functools.cached_property
+    def _starts(self) -> tuple[float, ...]:
+        # Built on the first membership test, not with the union: set algebra
+        # makes many unions that are never tested. Not a field, so equality
+        # and hash stay those of the parts.
+        return tuple(p.lo for p in self.parts)
+
     def contains(self, x: float) -> bool:
-        k = bisect.bisect_right([p.lo for p in self.parts], x)
+        k = bisect.bisect_right(self._starts, x)
         return k > 0 and x <= self.parts[k - 1].hi
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":

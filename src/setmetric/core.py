@@ -20,6 +20,13 @@ The distance family on finite sets:
 The construction behind ``average_metric`` is written once, in
 ``_set_average``; the nested, duality, fuzzy and sampled 1-d distances call
 it with their own inner distance.
+
+Every finite-set distance above reads one matrix of cross distances d(x, y).
+Small matrices are evaluated pair by pair through ``distance``; from
+``_BLOCK_MIN_PAIRS`` pairs on, under a Euclidean or table metric,
+``_cross_rows`` produces the matrix with numpy, in chunks of rows. Sums over
+it are one ``math.fsum``; minima are evaluated again through ``distance``
+where the block cannot tell them apart, so they are exact.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -59,11 +68,14 @@ class ElementRegistry:
     """Id -> element table shared by the finite sets built over it.
 
     Treated as read-only once sets exist; nothing here mutates after
-    construction-time ``add`` calls, so concurrent reads are safe.
+    construction-time ``add`` calls except the payload table that the first
+    cross-distance block builds, which concurrent readers at worst build
+    twice, alike, so concurrent reads are safe.
     """
 
     def __init__(self, elements: Mapping[ElementId, Any] | None = None):
         self._elements: dict[ElementId, Element] = {}
+        self._table: tuple | None = None  # see _payload_table
         if elements:
             for eid, payload in elements.items():
                 self.add(eid, payload)
@@ -77,7 +89,35 @@ class ElementRegistry:
             payload = (float(payload),)
         element = Element(eid, payload)
         self._elements[eid] = element
+        self._table = None
         return element
+
+    def _payload_table(self) -> tuple[dict, "np.ndarray | None"]:
+        """The row of every id, and the payloads as one float64 array with a
+        row per id.
+
+        The array is None unless every payload is a tuple of one common
+        length, between 1 and 2**20, whose coordinates are 0 or of magnitude
+        in [2**-450, 2**500]. Then every nonzero coordinate difference lies in
+        [2**-502, 2**501], so no square and no sum of squares leaves the
+        normal float range. Built on first use; ``add`` drops it.
+        """
+        if self._table is None:
+            rows = {eid: k for k, eid in enumerate(self._elements)}
+            payloads = [e.payload for e in self._elements.values()]
+            coords = None
+            if (
+                payloads
+                and all(isinstance(p, tuple) for p in payloads)
+                and len({len(p) for p in payloads}) == 1
+                and 0 < len(payloads[0]) < 2**20
+            ):
+                coords = np.array(payloads, dtype=np.float64)
+                size = np.abs(coords)
+                if not ((size == 0.0) | ((size >= 2.0**-450) & (size <= 2.0**500))).all():
+                    coords = None
+            self._table = (rows, coords)
+        return self._table
 
     def element(self, eid: ElementId) -> Element:
         try:
@@ -164,7 +204,15 @@ class FiniteSet:
 
 
 class BaseMetric:
-    """Ground distance between elements; subclasses implement ``distance``."""
+    """Ground distance between elements; subclasses implement ``distance``.
+
+    ``EuclideanMetric`` and ``MatrixMetric`` also supply a batched form for
+    ``_cross_rows``: ``_operand(registry, ids)`` gathers what ``_block`` needs
+    for a sequence of ids, or returns None to keep these ids on the scalar
+    path, and ``_block(x, y)`` returns the float64 matrix d(x_i, y_j) for two
+    operands (or row slices of them), each value within relative 2**-32 of
+    ``distance``. Other metrics, subclasses included, take the scalar path.
+    """
 
     def distance(self, x: Element, y: Element) -> float:
         raise NotImplementedError
@@ -203,6 +251,20 @@ class EuclideanMetric(BaseMetric):
     def distance(self, x: Element, y: Element) -> float:
         px, py = _vector_pair(x, y)
         return math.dist(px, py)
+
+    def _operand(self, registry: "ElementRegistry", ids: Collection) -> np.ndarray | None:
+        rows, coords = registry._payload_table()
+        return None if coords is None else coords[_rows_of(rows, ids)]
+
+    def _block(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # the square root of the summed squared differences: from the same
+        # differences as math.dist, within (dimension + 4) ulps of it for the
+        # payloads _payload_table admits, but not always equal to it
+        total = np.zeros((len(x), len(y)))
+        for k in range(x.shape[1]):
+            diff = np.subtract.outer(x[:, k], y[:, k])
+            total += np.multiply(diff, diff, out=diff)
+        return np.sqrt(total, out=total)
 
 
 @dataclass(frozen=True)
@@ -244,41 +306,145 @@ class MatrixMetric(BaseMetric):
         rows = tuple(tuple(float(v) for v in row) for row in values)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ParameterError(f"matrix metric table must be {n}x{n}")
-        for i in range(n):
+        table = np.array(rows, dtype=np.float64)
+        # Each failure is reported at the first (i, j) or (i, j, k) in the
+        # order of the loops "for i: diagonal, then for j: negative,
+        # asymmetric, zero", then "for i, j, k: triangle".
+        negative = table < -tolerance
+        with np.errstate(invalid="ignore"):  # inf - inf compares false, as in Python
+            asymmetric = np.abs(table - table.T) > tolerance
+        if pseudo:
+            zero = np.zeros((n, n), dtype=bool)
+        else:
+            zero = (table <= tolerance) & ~np.eye(n, dtype=bool)
+        bad_cell = negative | asymmetric | zero
+        failing = np.flatnonzero((np.abs(table.diagonal()) > tolerance) | bad_cell.any(axis=1))
+        if failing.size:
+            i = int(failing[0])
             if abs(rows[i][i]) > tolerance:
                 raise ParameterError(f"nonzero self-distance for id {ids[i]!r}")
-            for j in range(n):
-                if rows[i][j] < -tolerance:
-                    raise ParameterError(
-                        f"negative distance between {ids[i]!r} and {ids[j]!r}"
-                    )
-                if abs(rows[i][j] - rows[j][i]) > tolerance:
-                    raise ParameterError(
-                        f"asymmetric table at {ids[i]!r}/{ids[j]!r}"
-                    )
-                if i != j and not pseudo and rows[i][j] <= tolerance:
-                    raise ParameterError(
-                        f"zero distance between distinct ids {ids[i]!r} and "
-                        f"{ids[j]!r}; flag the table as pseudo to allow it"
-                    )
+            j = int(np.argmax(bad_cell[i]))
+            if negative[i, j]:
+                raise ParameterError(f"negative distance between {ids[i]!r} and {ids[j]!r}")
+            if asymmetric[i, j]:
+                raise ParameterError(f"asymmetric table at {ids[i]!r}/{ids[j]!r}")
+            raise ParameterError(
+                f"zero distance between distinct ids {ids[i]!r} and "
+                f"{ids[j]!r}; flag the table as pseudo to allow it"
+            )
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if rows[i][k] > rows[i][j] + rows[j][k] + tolerance:
-                        raise ParameterError(
-                            "triangle inequality fails for ids "
-                            f"({ids[i]!r}, {ids[j]!r}, {ids[k]!r})"
-                        )
+            # violated[j, k]: R[i, k] > (R[i, j] + R[j, k]) + tol, summed as the loop did
+            violated = table[i] > (table[i][:, None] + table) + tolerance
+            if violated.any():
+                j, k = divmod(int(np.argmax(violated)), n)
+                raise ParameterError(
+                    "triangle inequality fails for ids "
+                    f"({ids[i]!r}, {ids[j]!r}, {ids[k]!r})"
+                )
         self.ids = ids
         self.pseudo = pseudo
         self._index = {eid: k for k, eid in enumerate(ids)}
         self._rows = rows
+        self._table = table
 
     def distance(self, x: Element, y: Element) -> float:
         try:
             return self._rows[self._index[x.id]][self._index[y.id]]
         except KeyError as exc:
             raise UnknownIdError(f"id not in distance table: {exc.args[0]!r}") from None
+
+    def _operand(self, registry: "ElementRegistry", ids: Collection) -> np.ndarray | None:
+        # an id outside the table stays on the scalar path, which names it
+        if not all(map(self._index.__contains__, ids)):
+            return None
+        return _rows_of(self._index, ids)
+
+    def _block(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._table[np.ix_(x, y)]
+
+
+# ---------------------------------------------------------------------------
+# Cross-distance block
+# ---------------------------------------------------------------------------
+
+# Pairs from which a cross-distance matrix is computed as a numpy block rather
+# than by one ``distance`` call per pair. Measured on 3-d Euclidean sets and a
+# table (see README): below it the fixed cost of a block outweighs the saving.
+_BLOCK_MIN_PAIRS = 256
+
+# Values per tile. The Euclidean block keeps two tile-sized arrays alive (the
+# sum and one coordinate difference), the table block one, so a block's
+# temporaries stay far under 2**17 float64 values (1 MiB).
+_TILE_VALUES = 2**12
+
+# a factor that covers the block's error twice over, see _max_min
+_NEAR = 1.0 + 2.0**-30
+
+# exact metric classes only: a subclass may redefine ``distance``
+_BATCHED = frozenset({EuclideanMetric, MatrixMetric})
+
+
+def _rows_of(index: Mapping, ids: Collection) -> np.ndarray:
+    return np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
+
+
+def _cross_rows(
+    m: BaseMetric, registry: ElementRegistry, xs: Collection, ys: Collection
+) -> Iterator[np.ndarray] | None:
+    """The cross-distance matrix d(x, y), x in ``xs``, y in ``ys`` (ids of
+    ``registry``), as an iterator over float64 arrays of consecutive rows.
+
+    None when the matrix has fewer than ``_BLOCK_MIN_PAIRS`` entries or the
+    metric has no batched form for these ids: the caller then evaluates
+    ``m.distance`` pair by pair, which also raises the errors.
+    """
+    if len(xs) * len(ys) < _BLOCK_MIN_PAIRS or type(m) not in _BATCHED:
+        return None
+    x, y = m._operand(registry, xs), m._operand(registry, ys)
+    if x is None or y is None:
+        return None
+    return _row_chunks(m._block, x, y)
+
+
+def _max_min(
+    m: BaseMetric, registry: ElementRegistry, xs: Sequence, ys: Sequence, rows: Iterator[np.ndarray]
+) -> float:
+    """max over x of min over y of ``m.distance(x, y)``, exactly, from the
+    rows of the block of (``xs``, ``ys``).
+
+    A block value is within relative 2**-32 of ``distance``. So the result
+    lies in a row whose block minimum comes within a factor 1 + 2**-30 of the
+    largest block minimum so far, and in a column whose value comes within
+    that factor of the row's minimum: only these pairs are evaluated again
+    with ``distance``.
+    """
+    element = registry.element
+    best = ceiling = -math.inf
+    r0 = 0
+    for chunk in rows:
+        minima = chunk.min(axis=1)
+        ceiling = max(ceiling, minima.max())
+        for r in np.flatnonzero(minima * _NEAR >= ceiling).tolist():
+            x = element(xs[r0 + r])
+            near = np.flatnonzero(chunk[r] <= minima[r] * _NEAR).tolist()
+            best = max(best, min(m.distance(x, element(ys[c])) for c in near))
+        r0 += len(chunk)
+    return best
+
+
+def _row_chunks(block: Callable, x: Any, y: Any) -> Iterator[np.ndarray]:
+    """``block(x, y)`` in chunks of rows of at most ``_TILE_VALUES`` values;
+    a row longer than that is built from tiles of columns."""
+    step = max(1, _TILE_VALUES // len(y))
+    for r0 in range(0, len(x), step):
+        rows = x[r0:r0 + step]
+        if len(y) <= _TILE_VALUES:
+            yield block(rows, y)
+            continue
+        out = np.empty((len(rows), len(y)))
+        for c0 in range(0, len(y), _TILE_VALUES):
+            out[:, c0:c0 + _TILE_VALUES] = block(rows, y[c0:c0 + _TILE_VALUES])
+        yield out
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +489,10 @@ def min_cross_distance(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     return min(m.distance(x, y) for x in a.elements() for y in eb)
 
 
-def _ground_sum(m: BaseMetric, registry: ElementRegistry, xs: Iterable, ys: Iterable) -> float:
+def _ground_sum(m: BaseMetric, registry: ElementRegistry, xs: Collection, ys: Collection) -> float:
+    rows = _cross_rows(m, registry, xs, ys)
+    if rows is not None:
+        return math.fsum(itertools.chain.from_iterable(c.ravel().tolist() for c in rows))
     element = registry.element  # resolve each id once, not once per pair
     ey = [element(y) for y in ys]
     return math.fsum(m.distance(x, y) for x in map(element, xs) for y in ey)
@@ -427,6 +596,13 @@ def hausdorff(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     """max of the two directed max-min distances."""
     _require_same_registry("hausdorff", a, b)
     _require_nonempty("hausdorff", a, b)
+    rows = _cross_rows(m, a.registry, a.members, b.members)
+    if rows is not None:
+        # the block of (b, a) as well, not the column minima of (a, b): a
+        # distance table may be asymmetric within its tolerance
+        rows_ba = _cross_rows(m, a.registry, b.members, a.members)
+        return max(_max_min(m, a.registry, a.members, b.members, rows),
+                   _max_min(m, a.registry, b.members, a.members, rows_ba))
     ea, eb = a.elements(), b.elements()
     d_ab = max(min(m.distance(x, y) for y in eb) for x in ea)
     d_ba = max(min(m.distance(y, x) for x in ea) for y in eb)

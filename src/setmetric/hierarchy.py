@@ -15,11 +15,13 @@ constant multiple of the ground distance, with the ratio in (0, 1).
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
+
+import numpy as np
 
 from .core import (
     BaseMetric,
@@ -28,7 +30,9 @@ from .core import (
     FiniteSet,
     _fsum_cross,
     _id_sort_key,
+    _row_chunks,
     _set_average,
+    average_metric,
 )
 from .errors import DomainError, EmptySetError, LevelMismatchError, ParameterError
 
@@ -93,9 +97,37 @@ def nested_average_metric(
         )
     if a.level == 0:
         return m.distance(registry.element(a.value), registry.element(b.value))
-    return _set_average(
-        a.value, b.value, _fsum_cross(functools.partial(nested_average_metric, m, registry))
-    )
+    return _NestedDistance(m, registry)(a, b)
+
+
+class _NestedDistance:
+    """The level >= 1 metric for one top-level call. The level-1 sets as
+    ``FiniteSet``s and the inner distances are kept per call, not per module:
+    the same children and pairs of children recur across the pairs of a call."""
+
+    def __init__(self, m: BaseMetric, registry: ElementRegistry):
+        self.m = m
+        self.registry = registry
+        self.flat_sets: dict[NestedSet, FiniteSet] = {}
+        self.distances: dict[tuple[NestedSet, NestedSet], float] = {}
+
+    def flat(self, s: NestedSet) -> FiniteSet:
+        flat_set = self.flat_sets.get(s)
+        if flat_set is None:
+            flat_set = self.flat_sets[s] = self.registry.set_of(leaf.value for leaf in s.value)
+        return flat_set
+
+    def __call__(self, x: NestedSet, y: NestedSet) -> float:
+        if x.level == 1:
+            return average_metric(self.m, self.flat(x), self.flat(y))
+        return _set_average(x.value, y.value, _fsum_cross(self.memoised))
+
+    def memoised(self, x: NestedSet, y: NestedSet) -> float:
+        key = (x, y)
+        d = self.distances.get(key)
+        if d is None:
+            d = self.distances[key] = self(x, y)
+        return d
 
 
 def containing_collection(eid: ElementId, x: FiniteSet, max_size: int = 20) -> NestedSet:
@@ -126,10 +158,6 @@ def _subsets_containing(eid: ElementId, members: Iterable[ElementId]) -> Iterato
 # ---------------------------------------------------------------------------
 
 
-def _scaled_jaccard(s: frozenset, t: frozenset, lam: float) -> float:
-    return lam * len(s ^ t) / len(s | t)
-
-
 def duality_ratio(
     x: FiniteSet, lam: float = 1.0, *, ratio_tolerance: float = 1e-9
 ) -> tuple[float, tuple[tuple[ElementId, ElementId, float], ...]]:
@@ -148,10 +176,22 @@ def duality_ratio(
     if not lam > 0:
         raise ParameterError(f"discrete scale must be positive, got {lam}")
     members = x.members
+    # a subset of X is the bitmask of its members' positions in ``members``
+    bit = {eid: 1 << k for k, eid in enumerate(members)}
     collections = {
-        eid: frozenset(map(frozenset, _subsets_containing(eid, members))) for eid in members
+        eid: frozenset(sum(map(bit.__getitem__, s)) for s in _subsets_containing(eid, members))
+        for eid in members
     }
-    inner = _fsum_cross(functools.partial(_scaled_jaccard, lam=lam))
+    popcount = np.array([bin(mask).count("1") for mask in range(1 << len(members))])
+
+    def scaled_jaccard(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # lam |s ^ t| / |s | t|, the same float operations as on Python sets
+        return lam * popcount[np.bitwise_xor.outer(s, t)] / popcount[np.bitwise_or.outer(s, t)]
+
+    def inner(xs: frozenset, ys: frozenset) -> float:
+        s, t = np.fromiter(xs, np.int64, len(xs)), np.fromiter(ys, np.int64, len(ys))
+        chunks = _row_chunks(scaled_jaccard, s, t)
+        return math.fsum(itertools.chain.from_iterable(c.ravel().tolist() for c in chunks))
 
     table = []
     ratios = []

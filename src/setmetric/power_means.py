@@ -32,7 +32,14 @@ import math
 import sys
 from typing import Sequence
 
-from .core import BaseMetric, FiniteSet, _require_nonempty, _require_same_registry
+from .core import (
+    BaseMetric,
+    ElementId,
+    FiniteSet,
+    _cross_rows,
+    _require_nonempty,
+    _require_same_registry,
+)
 from .errors import ParameterError
 
 _INF = float("inf")
@@ -91,8 +98,7 @@ def power_mean(values: Sequence[float], weights: Sequence[float] | None = None, 
         m = max(v for v, _ in active) if p > 0 else min(v for v, _ in active)
         if m == 0.0:
             return 0.0
-        # log(0/m) = -inf makes a zero value's term -w, since 0^p = 0 for p > 0
-        logs = [math.log(v / m) if v else -_INF for v, _ in active]
+        logs = [_log_ratio(v, m) for v, _ in active]
         spread = max(map(abs, logs))
         # Once |p| * spread is below the smallest normal float, p * log(v/m)
         # keeps too few bits to be divided by p again, and the order moves
@@ -102,6 +108,15 @@ def power_mean(values: Sequence[float], weights: Sequence[float] | None = None, 
             delta = math.fsum(w * math.expm1(p * x) for x, (_, w) in zip(logs, active))
             return m * math.exp(math.log1p(delta / wsum) / p)
     return math.exp(math.fsum(w * math.log(v) for v, w in active) / wsum)
+
+
+def _log_ratio(v: float, m: float) -> float:
+    # log(0/m) = -inf makes a zero value's term -w, since 0^p = 0 for p > 0
+    if not v:
+        return -_INF
+    ratio = v / m
+    # a positive v far below m underflows the ratio to 0
+    return math.log(ratio) if ratio else math.log(v) - math.log(m)
 
 
 def exp_mean(values: Sequence[float], weights: Sequence[float] | None = None, p: float = 1.0) -> float:
@@ -165,16 +180,35 @@ def pointwise_mean_distance(
     _require_nonempty("pointwise_mean_distance", a, b)
     inner = _mean_fn(j)
     outer = _mean_fn(i)
-    ea, eb = a.elements(), b.elements()
-    values = []
-    for eid in a.union(b).members:
-        if eid in a.ids and eid in b.ids:
-            values.append(0.0)
-            continue
-        x = a.registry.element(eid)
-        opposite = ea if eid in b.ids else eb
-        values.append(inner([m.distance(x, y) for y in opposite], None, q))
+    into_a = _means_into(m, a, b, inner, q)
+    into_b = _means_into(m, b, a, inner, q)
+    values = [
+        0.0 if eid in a.ids and eid in b.ids else into_a(eid) if eid in b.ids else into_b(eid)
+        for eid in a.union(b).members
+    ]
     return outer(values, None, p)
+
+
+def _means_into(m: BaseMetric, side: FiniteSet, other: FiniteSet, inner, q: float):
+    """id -> inner mean (order ``q``) of the distances from that member of
+    ``other`` outside ``side`` to the members of ``side``.
+
+    From the cross-distance block when it is taken, all at once; otherwise
+    one row per call, so rows and their errors come in the caller's order.
+    """
+    registry, inside = side.registry, side.ids
+    outside = [eid for eid in other.members if eid not in inside]
+    rows = _cross_rows(m, registry, outside, side.members)
+    if rows is not None:
+        means = (inner(row, None, q) for chunk in rows for row in chunk.tolist())
+        return dict(zip(outside, means)).__getitem__
+    targets = side.elements()
+
+    def mean_into(eid: ElementId) -> float:
+        x = registry.element(eid)
+        return inner([m.distance(x, y) for y in targets], None, q)
+
+    return mean_into
 
 
 def sidewise_mean_distance(
@@ -201,20 +235,13 @@ def sidewise_mean_distance(
     middle = _mean_fn(i)
     outer = _mean_fn(k)
     union_ids = a.union(b).members
-    registry = a.registry
 
-    def branch(side: FiniteSet) -> float:
-        side_elements = side.elements()
-        values = []
-        for eid in union_ids:
-            if eid in side.ids:
-                values.append(0.0)
-            else:
-                x = registry.element(eid)
-                values.append(inner([m.distance(x, y) for y in side_elements], None, q))
+    def branch(side: FiniteSet, other: FiniteSet) -> float:
+        into_side = _means_into(m, side, other, inner, q)
+        values = [0.0 if eid in side.ids else into_side(eid) for eid in union_ids]
         return middle(values, None, p)
 
-    return outer([branch(a), branch(b)], None, r)
+    return outer([branch(a, b), branch(b, a)], None, r)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,22 @@ def test_malformed_workspace_exits_2(tmp_path, doc, argv):
     assert "Traceback" not in result.stderr
 
 
+def test_mean_composition_over_extreme_distances(tmp_path):
+    # the inner quadratic mean of x's distances, 1e-300 and 1e300, once
+    # ended in a math domain error traceback
+    doc = {
+        "metric": {"kind": "euclidean"},
+        "elements": {"a": [1e-300], "b": [1e300], "x": [0.0]},
+        "sets": {"A": ["x"], "B": ["a", "b"]},
+    }
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("dist", "--workspace", str(path), "--family", "u", "--q", "2", "A", "B")
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    assert float(result.stdout) == pytest.approx((1e300 + 1e300 / 2**0.5 + 1e-300) / 3)
+
+
 class TestMatrix:
     def test_symmetric_zero_diagonal_csv(self, ws):
         result = run_cli("matrix", "--workspace", ws, "--family", "f", "A", "B", "C")

@@ -89,6 +89,19 @@ class TestIntervalUnion:
         assert u.contains(0.5) and u.contains(2.0) and u.contains(4.0)
         assert not u.contains(1.5) and not u.contains(-0.1)
 
+    @settings(max_examples=200)
+    @given(
+        parts=st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 6)), max_size=8),
+        xs=st.lists(st.integers(-25, 30).map(lambda k: k / 2), min_size=1, max_size=20),
+    )
+    def test_membership_matches_a_scan_of_the_parts(self, parts, xs):
+        u = U(*((lo, lo + width) for lo, width in parts))
+        for x in xs:
+            assert u.contains(x) == any(p.lo <= x <= p.hi for p in u.parts)
+        # the cached starts are no field: equality and hash are those of the parts
+        twin = IntervalUnion(u.parts)
+        assert twin == u and hash(twin) == hash(u)
+
     def test_set_ops_agree_with_pointwise_membership(self):
         rng = random.Random(9)
         for _ in range(50):

@@ -1,8 +1,11 @@
 """Core distance family: frozen examples, brute-force oracles, invariants."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setmetric import (
     DiscreteMetric,
@@ -140,6 +143,74 @@ class TestBaseMetrics:
     def test_base_distance_passthrough(self):
         m = DiscreteMetric(2.5)
         assert base_distance(m, Element("a"), Element("b")) == 2.5
+
+
+def reference_matrix_check(ids, values, pseudo=False, tolerance=1e-12):
+    """The table checks as plain loops, in the order whose first failure
+    ``MatrixMetric`` must report."""
+    rows = tuple(tuple(float(v) for v in row) for row in values)
+    n = len(ids)
+    for i in range(n):
+        if abs(rows[i][i]) > tolerance:
+            raise ParameterError(f"nonzero self-distance for id {ids[i]!r}")
+        for j in range(n):
+            if rows[i][j] < -tolerance:
+                raise ParameterError(f"negative distance between {ids[i]!r} and {ids[j]!r}")
+            if abs(rows[i][j] - rows[j][i]) > tolerance:
+                raise ParameterError(f"asymmetric table at {ids[i]!r}/{ids[j]!r}")
+            if i != j and not pseudo and rows[i][j] <= tolerance:
+                raise ParameterError(
+                    f"zero distance between distinct ids {ids[i]!r} and "
+                    f"{ids[j]!r}; flag the table as pseudo to allow it"
+                )
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[i][k] > rows[i][j] + rows[j][k] + tolerance:
+                    raise ParameterError(
+                        "triangle inequality fails for ids "
+                        f"({ids[i]!r}, {ids[j]!r}, {ids[k]!r})"
+                    )
+
+
+def check_outcome(check):
+    try:
+        check()
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def corrupted_tables(draw):
+    """L1 distances of grid points, or a random symmetric table (which breaks
+    the triangle inequality at many (i, j, k) at once), then a few cells
+    overwritten."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        grid = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                             min_size=n, max_size=n))
+        values = [[abs(x1 - x2) + abs(y1 - y2) for x2, y2 in grid] for x1, y1 in grid]
+    else:
+        upper = draw(st.lists(st.integers(1, 9), min_size=n * n, max_size=n * n))
+        values = [[0 if i == j else upper[min(i, j) * n + max(i, j)] for j in range(n)]
+                  for i in range(n)]
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    junk = st.sampled_from([0.0, -1.0, -1e-13, 1e-13, 0.5, 3.0, 100.0, math.nan, math.inf])
+    for i, j in draw(st.lists(cell, max_size=3)):
+        values[i][j] = draw(junk)
+        if draw(st.booleans()):
+            values[j][i] = values[i][j]
+    return [f"id{k}" for k in range(n)], values, draw(st.booleans())
+
+
+class TestMatrixValidation:
+    @settings(max_examples=400, deadline=None)
+    @given(table=corrupted_tables())
+    def test_same_first_failure_as_the_loops(self, table):
+        ids, values, pseudo = table
+        expected = check_outcome(lambda: reference_matrix_check(ids, values, pseudo))
+        assert check_outcome(lambda: MatrixMetric(ids, values, pseudo=pseudo)) == expected
 
 
 class TestPointAndInfDistances:

@@ -1,7 +1,9 @@
 """Nested sets, the level-k metric, containing collections, duality."""
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -79,6 +81,51 @@ class TestNestedMetric:
             assert nested_average_metric(euclid, line_registry, na, nb) == pytest.approx(
                 average_metric(euclid, a, b)
             )
+
+    def test_level_three_memoised_equals_unmemoised_recursion(self):
+        registry = random_point_registry(random.Random(5), size=8, dim=2)
+
+        def counting_metric():
+            calls = Counter()
+
+            class Counting(EuclideanMetric):
+                def distance(self, x, y):
+                    calls[x.id, y.id] += 1
+                    return super().distance(x, y)
+
+            return Counting(), calls
+
+        def flat(m, a, b):
+            sets = [registry.set_of(leaf.value for leaf in s.value) for s in (a, b)]
+            return average_metric(m, *sets)
+
+        def reference(m, a, b, level_one_pairs):
+            """The level-k metric by plain recursion, without a memo; records
+            each distinct ordered pair of level-1 sets it evaluates."""
+            if a.level == 1:
+                level_one_pairs.add((a, b))
+                return flat(m, a, b)
+            b_only, a_only = b.value - a.value, a.value - b.value
+            n_union = len(a.value) + len(b_only)
+            s1 = math.fsum(reference(m, x, y, level_one_pairs) for x in a.value for y in b_only)
+            s2 = math.fsum(reference(m, x, y, level_one_pairs) for x in a_only for y in b.value)
+            return s1 / (n_union * len(a.value)) + s2 / (n_union * len(b.value))
+
+        rng = random.Random(6)
+        sampler = nested_triple_sampler(registry, inner_size=(1, 4), outer_size=(2, 3))
+        for _ in range(8):
+            a, b = (NestedSet.of(sampler(rng)) for _ in range(2))
+            assert a.level == b.level == 3
+            pairs = set()
+            expected = reference(counting_metric()[0], a, b, pairs)
+            m, calls = counting_metric()
+            assert nested_average_metric(m, registry, a, b) == expected
+            # one flat average_metric per distinct pair of level-1 sets: a leaf
+            # pair is evaluated only as often as those flat metrics evaluate it
+            m_flat, flat_calls = counting_metric()
+            for sa, sb in pairs:
+                flat(m_flat, sa, sb)
+            assert calls == flat_calls
 
     def test_level_zero_is_ground_distance(self, line_registry, euclid):
         assert nested_average_metric(
@@ -185,6 +232,33 @@ class TestDuality:
                 assert len(colls[x] ^ colls[y]) == 2 ** (size - 1)
             for x in ground:
                 assert len(colls[x] ^ colls[x]) == 0
+
+    @pytest.mark.parametrize("lam", [1.0, 0.3, 2.5])
+    def test_bitmask_blocks_equal_the_set_computation(self, line_registry, lam):
+        def scaled_jaccard(s, t):
+            return lam * len(s ^ t) / len(s | t)
+
+        def level_two(ca, cb):
+            """The average construction on collections of frozensets, summed
+            pair by pair with fsum."""
+            b_only, a_only = cb - ca, ca - cb
+            n_union = len(ca) + len(b_only)
+            s1 = math.fsum(scaled_jaccard(s, t) for s in ca for t in b_only)
+            s2 = math.fsum(scaled_jaccard(s, t) for s in a_only for t in cb)
+            return s1 / (n_union * len(ca)) + s2 / (n_union * len(cb))
+
+        for size in range(2, 8):
+            ground = line_registry.set_of(range(size))
+            colls = {
+                eid: frozenset(frozenset(c.value for c in subset.children())
+                               for subset in containing_collection(eid, ground).children())
+                for eid in ground
+            }
+            _, table = duality_ratio(ground, lam)
+            assert table == tuple(
+                (x, y, level_two(colls[x], colls[y]))
+                for x, y in itertools.combinations(ground.members, 2)
+            )
 
     def test_ground_set_size_limits(self, line_registry):
         with pytest.raises(ParameterError):

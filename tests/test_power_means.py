@@ -62,6 +62,16 @@ class TestPowerMean:
     def test_large_order_does_not_overflow(self):
         assert power_mean([1e3, 2e3], None, 500.0) == pytest.approx(2e3, rel=1e-2)
 
+    @pytest.mark.parametrize("p, expected", [
+        (2.0, 1e300 / math.sqrt(2.0)),
+        (0.5, 2.5e299),
+        (1e-300, 1.0),  # the geometric mean
+        (-1.0, 2e-300),  # harmonic: the ratio overflows instead
+    ])
+    def test_ratio_underflow(self, p, expected):
+        # 1e-300 / 1e300 underflows to 0, whose log is undefined
+        assert power_mean([1e300, 1e-300], None, p) == pytest.approx(expected)
+
     def test_errors(self):
         with pytest.raises(ParameterError):
             power_mean([], None, 1.0)
