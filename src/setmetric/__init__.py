@@ -37,7 +37,6 @@ from .core import (
     LpMetric,
     MatrixMetric,
     average_metric,
-    base_distance,
     group_average,
     hausdorff,
     jaccard,

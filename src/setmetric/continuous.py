@@ -23,9 +23,9 @@ set, and evaluate the finite-set metric on the intersections.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
 
@@ -70,9 +70,6 @@ class Interval:
     @property
     def center(self) -> float:
         return (self.lo + self.hi) / 2.0
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
 
 IntervalLike = Union[Interval, tuple, list]
@@ -120,49 +117,27 @@ class IntervalUnion:
             raise NullMeasureError("empty interval union has no bounds")
         return self.parts[-1].hi
 
-    @functools.cached_property
-    def _starts(self) -> tuple[float, ...]:
-        # Built on the first membership test, not with the union: set algebra
-        # makes many unions that are never tested. Not a field, so equality
-        # and hash stay those of the parts.
-        return tuple(p.lo for p in self.parts)
-
     def contains(self, x: float) -> bool:
-        k = bisect.bisect_right(self._starts, x)
-        return k > 0 and x <= self.parts[k - 1].hi
+        return bool(self._inside(np.array([x], dtype=float))[0])
+
+    def _inside(self, points: np.ndarray) -> np.ndarray:
+        """Mask of the points that lie in a part, both ends included."""
+        starts = np.array([p.lo for p in self.parts])
+        # a point before every part indexes the -inf after the last end
+        ends = np.array([p.hi for p in self.parts] + [-math.inf])
+        return points <= ends[np.searchsorted(starts, points, side="right") - 1]
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(self.parts + other.parts)
 
     def intersection(self, other: "IntervalUnion") -> "IntervalUnion":
-        pieces = []
-        for a in self.parts:
-            for b in other.parts:
-                lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-                if lo < hi:
-                    pieces.append(Interval(lo, hi))
-        return IntervalUnion(tuple(pieces))
+        return _sweep(self.parts, other.parts, operator.and_)
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        pieces = []
-        for a in self.parts:
-            segments = [(a.lo, a.hi)]
-            for b in other.parts:
-                nxt = []
-                for lo, hi in segments:
-                    if b.hi <= lo or b.lo >= hi:
-                        nxt.append((lo, hi))
-                        continue
-                    if b.lo > lo:
-                        nxt.append((lo, b.lo))
-                    if b.hi < hi:
-                        nxt.append((b.hi, hi))
-                segments = nxt
-            pieces.extend(Interval(lo, hi) for lo, hi in segments if lo < hi)
-        return IntervalUnion(tuple(pieces))
+        return _sweep(self.parts, other.parts, operator.gt)
 
     def symmetric_difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        return self.difference(other).union(other.difference(self))
+        return _sweep(self.parts, other.parts, operator.ne)
 
     def __repr__(self) -> str:
         inner = " ∪ ".join(f"[{p.lo:g}, {p.hi:g}]" for p in self.parts)
@@ -179,6 +154,28 @@ def _canonical_parts(parts: Iterable[Interval]) -> tuple[Interval, ...]:
         else:
             merged.append(p)
     return tuple(merged)
+
+
+def _sweep(a_parts: tuple[Interval, ...], b_parts: tuple[Interval, ...],
+           keep: Callable[[bool, bool], bool]) -> IntervalUnion:
+    """The union of the segments between consecutive endpoints of the two
+    canonical part lists on which ``keep(in_a, in_b)`` holds, each closed.
+    Canonical parts are disjoint and do not touch, so every open segment lies
+    wholly inside or outside each operand. The constructor merges kept
+    segments that touch."""
+    edges = sorted({x for p in a_parts + b_parts for x in (p.lo, p.hi)})
+    i = j = 0
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        while i < len(a_parts) and a_parts[i].hi <= lo:
+            i += 1
+        while j < len(b_parts) and b_parts[j].hi <= lo:
+            j += 1
+        in_a = i < len(a_parts) and a_parts[i].lo <= lo
+        in_b = j < len(b_parts) and b_parts[j].lo <= lo
+        if keep(in_a, in_b):
+            pieces.append(Interval(lo, hi))
+    return IntervalUnion(tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +309,7 @@ class EstimateResult:
     size_b: int
 
 
-Membership = Union[IntervalUnion, FiniteSet, Callable[[float], bool]]
-
-
-def _member_test(membership: Membership) -> Callable:
-    if isinstance(membership, IntervalUnion):
-        return membership.contains
-    if isinstance(membership, FiniteSet):
-        return membership.__contains__
-    return membership
+Membership = Union[IntervalUnion, FiniteSet]
 
 
 def _sample_interval_points(population: IntervalUnion, plan: SamplePlan) -> np.ndarray:
@@ -359,21 +348,23 @@ def _average_metric_1d(xs: np.ndarray, ys: np.ndarray) -> float:
 
 def _sample_sides(a: Membership, b: Membership, plan: SamplePlan) -> tuple:
     """The plan's sample intersected with A and with B: arrays of sorted
-    unique points for an interval population, id sets for a finite one."""
-    if isinstance(plan.population, IntervalUnion):
+    unique points for an interval population, id sets for a finite one. The
+    operands must be of the population's kind."""
+    kind = IntervalUnion if isinstance(plan.population, IntervalUnion) else FiniteSet
+    if not (isinstance(a, kind) and isinstance(b, kind)):
+        raise ParameterError(
+            f"sampling a {type(plan.population).__name__} population expects "
+            f"{kind.__name__} operands, got {type(a).__name__} and {type(b).__name__}"
+        )
+    if kind is IntervalUnion:
         points = _sample_interval_points(plan.population, plan)
-
-        def side(membership: Membership) -> np.ndarray:
-            inside = _member_test(membership)
-            return points[np.fromiter((inside(float(x)) for x in points), bool, len(points))]
-
-        return side(a), side(b)
+        return points[a._inside(points)], points[b._inside(points)]
     ids = list(plan.population.members)
     if not ids:
         raise ParameterError("finite sampling population is empty")
     rng = np.random.default_rng(plan.seed)
     drawn = {ids[k] for k in rng.integers(0, len(ids), plan.n)}
-    return drawn & a.ids, drawn & b.ids  # type: ignore[union-attr]
+    return drawn & a.ids, drawn & b.ids
 
 
 def estimate_average_metric(
@@ -391,11 +382,8 @@ def estimate_average_metric(
     over.
     """
     finite = not isinstance(plan.population, IntervalUnion)
-    if finite:
-        if metric is None:
-            raise ParameterError("finite-population estimation needs a ground metric")
-        if not isinstance(a, FiniteSet) or not isinstance(b, FiniteSet):
-            raise ParameterError("finite-population estimation expects FiniteSet operands")
+    if finite and metric is None:
+        raise ParameterError("finite-population estimation needs a ground metric")
     sample_a, sample_b = _sample_sides(a, b, plan)
     if not len(sample_a) or not len(sample_b):
         raise SamplingError(
@@ -492,13 +480,12 @@ def fuzzy_distance(
     coll_a = frozenset(pairs_a)
     coll_b = frozenset(pairs_b)
 
-    cache: dict[tuple[frozenset, frozenset], float] = {}
+    @functools.cache
+    def cut_distance(s: frozenset, t: frozenset) -> float:
+        return average_metric(m, registry.set_of(s), registry.set_of(t))
 
     def pair_distance(p: tuple[frozenset, float], q: tuple[frozenset, float]) -> float:
         (s, alpha), (t, beta) = p, q
-        key = (s, t)
-        if key not in cache:
-            cache[key] = average_metric(m, registry.set_of(s), registry.set_of(t))
-        return cache[key] + alpha_weight * abs(alpha - beta)
+        return cut_distance(s, t) + alpha_weight * abs(alpha - beta)
 
     return _set_average(coll_a, coll_b, _fsum_cross(pair_distance))

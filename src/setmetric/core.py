@@ -269,13 +269,13 @@ class EuclideanMetric(BaseMetric):
 
 @dataclass(frozen=True)
 class LpMetric(BaseMetric):
-    """L_p distance on vector payloads, p >= 1."""
+    """L_p distance on vector payloads, 1 <= p < inf."""
 
     p: float = 2.0
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise ParameterError(f"lp metric needs p >= 1, got {self.p}")
+        if not 1 <= self.p < math.inf:
+            raise ParameterError(f"lp metric needs a finite p >= 1, got {self.p}")
 
     def distance(self, x: Element, y: Element) -> float:
         px, py = _vector_pair(x, y)
@@ -307,6 +307,10 @@ class MatrixMetric(BaseMetric):
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ParameterError(f"matrix metric table must be {n}x{n}")
         table = np.array(rows, dtype=np.float64)
+        undefined = np.flatnonzero(np.isnan(table))  # every comparison below is false for NaN
+        if undefined.size:
+            i, j = divmod(int(undefined[0]), n)
+            raise ParameterError(f"undefined distance between {ids[i]!r} and {ids[j]!r}")
         # Each failure is reported at the first (i, j) or (i, j, k) in the
         # order of the loops "for i: diagonal, then for j: negative,
         # asymmetric, zero", then "for i, j, k: triangle".
@@ -468,11 +472,6 @@ def _require_nonempty(op: str, *sets: FiniteSet) -> None:
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------
-
-
-def base_distance(m: BaseMetric, x: Element, y: Element) -> float:
-    """Ground distance between two elements."""
-    return m.distance(x, y)
 
 
 def point_set_distance(m: BaseMetric, x: Element, a: FiniteSet) -> float:

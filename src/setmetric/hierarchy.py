@@ -15,6 +15,7 @@ constant multiple of the ground distance, with the ratio in (0, 1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -97,37 +98,20 @@ def nested_average_metric(
         )
     if a.level == 0:
         return m.distance(registry.element(a.value), registry.element(b.value))
-    return _NestedDistance(m, registry)(a, b)
 
+    # The level-1 sets and the inner distances are kept for this call only:
+    # the same children and pairs of children recur across its pairs.
+    @functools.cache
+    def flat(s: NestedSet) -> FiniteSet:
+        return registry.set_of(leaf.value for leaf in s.value)
 
-class _NestedDistance:
-    """The level >= 1 metric for one top-level call. The level-1 sets as
-    ``FiniteSet``s and the inner distances are kept per call, not per module:
-    the same children and pairs of children recur across the pairs of a call."""
-
-    def __init__(self, m: BaseMetric, registry: ElementRegistry):
-        self.m = m
-        self.registry = registry
-        self.flat_sets: dict[NestedSet, FiniteSet] = {}
-        self.distances: dict[tuple[NestedSet, NestedSet], float] = {}
-
-    def flat(self, s: NestedSet) -> FiniteSet:
-        flat_set = self.flat_sets.get(s)
-        if flat_set is None:
-            flat_set = self.flat_sets[s] = self.registry.set_of(leaf.value for leaf in s.value)
-        return flat_set
-
-    def __call__(self, x: NestedSet, y: NestedSet) -> float:
+    @functools.cache
+    def distance(x: NestedSet, y: NestedSet) -> float:
         if x.level == 1:
-            return average_metric(self.m, self.flat(x), self.flat(y))
-        return _set_average(x.value, y.value, _fsum_cross(self.memoised))
+            return average_metric(m, flat(x), flat(y))
+        return _set_average(x.value, y.value, _fsum_cross(distance))
 
-    def memoised(self, x: NestedSet, y: NestedSet) -> float:
-        key = (x, y)
-        d = self.distances.get(key)
-        if d is None:
-            d = self.distances[key] = self(x, y)
-        return d
+    return distance(a, b)
 
 
 def containing_collection(eid: ElementId, x: FiniteSet, max_size: int = 20) -> NestedSet:

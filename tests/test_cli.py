@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -122,6 +123,9 @@ class TestDist:
     ({"metric": {"kind": "lp", "p": "x"}}, ["--family", "f", "A", "B"]),
     ({"intervals": {"I": [[0, "inf"]], "J": [[0, 1]]}}, ["--family", "steinhaus", "I", "J"]),
     ({"intervals": {"I": [["nan", 1]], "J": [[0, 1]]}}, ["--family", "steinhaus", "I", "J"]),
+    ({"metric": {"kind": "lp", "p": "inf"}}, ["--family", "f", "A", "B"]),
+    ({"metric": {"kind": "matrix", "ids": ["a", "b"], "values": [[0, math.nan], [math.nan, 0]]}},
+     ["--family", "f", "A", "B"]),
 ])
 def test_malformed_workspace_exits_2(tmp_path, doc, argv):
     path = tmp_path / "workspace.json"

@@ -4,11 +4,12 @@ The exact box integral of |x - y| is cross-checked against numerical
 quadrature, so the closed forms never have to vouch for themselves.
 """
 
+import functools
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -16,6 +17,7 @@ from setmetric import (
     DiscreteMetric,
     DomainError,
     ElementRegistry,
+    EuclideanMetric,
     FuzzySet,
     Interval,
     IntervalUnion,
@@ -33,7 +35,12 @@ from setmetric import (
     sample_count_ratio,
     steinhaus,
 )
-from setmetric.continuous import _abs_cross_sum, _average_metric_1d
+from setmetric.continuous import (
+    _abs_cross_sum,
+    _average_metric_1d,
+    _sample_interval_points,
+    _sample_sides,
+)
 from setmetric.verify import random_interval_pair
 
 
@@ -57,6 +64,56 @@ def quad_mean_abs(a: Interval, b: Interval) -> float:
 
 def U(*pairs):
     return IntervalUnion.of(pairs)
+
+
+def reference_canonical(parts):
+    """The sort-and-merge of the constructor, as a plain loop."""
+    live = sorted((p for p in parts if p.length > 0), key=lambda p: (p.lo, p.hi))
+    merged = []
+    for p in live:
+        if merged and p.lo <= merged[-1].hi:
+            if p.hi > merged[-1].hi:
+                merged[-1] = Interval(merged[-1].lo, p.hi)
+        else:
+            merged.append(p)
+    return tuple(merged)
+
+
+def reference_intersection(a_parts, b_parts):
+    """Every pair of parts intersected, then merged."""
+    pieces = []
+    for a in a_parts:
+        for b in b_parts:
+            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+            if lo < hi:
+                pieces.append(Interval(lo, hi))
+    return reference_canonical(pieces)
+
+
+def reference_difference(a_parts, b_parts):
+    """Each part of A cut by every part of B in turn, then merged."""
+    pieces = []
+    for a in a_parts:
+        segments = [(a.lo, a.hi)]
+        for b in b_parts:
+            nxt = []
+            for lo, hi in segments:
+                if b.hi <= lo or b.lo >= hi:
+                    nxt.append((lo, hi))
+                    continue
+                if b.lo > lo:
+                    nxt.append((lo, b.lo))
+                if b.hi < hi:
+                    nxt.append((b.hi, hi))
+            segments = nxt
+        pieces.extend(Interval(lo, hi) for lo, hi in segments if lo < hi)
+    return reference_canonical(pieces)
+
+
+# raw constructor input: grid endpoints make parts touch, share endpoints,
+# overlap and degenerate often; free floats cover the rest
+ENDPOINT = st.one_of(st.integers(-8, 72).map(lambda k: k / 8), st.floats(-1, 9))
+RAW_PARTS = st.lists(st.tuples(ENDPOINT, ENDPOINT).map(sorted), max_size=6)
 
 
 class TestIntervalUnion:
@@ -98,7 +155,7 @@ class TestIntervalUnion:
         u = U(*((lo, lo + width) for lo, width in parts))
         for x in xs:
             assert u.contains(x) == any(p.lo <= x <= p.hi for p in u.parts)
-        # the cached starts are no field: equality and hash are those of the parts
+        # equality and hash are those of the parts
         twin = IntervalUnion(u.parts)
         assert twin == u and hash(twin) == hash(u)
 
@@ -125,6 +182,22 @@ class TestIntervalUnion:
                            for edge in (p.lo, p.hi)):
                         continue
                     assert result.contains(x) == predicate(x), (name, x, a, b)
+
+    @settings(max_examples=400)
+    @given(raw_a=RAW_PARTS, raw_b=RAW_PARTS)
+    @example(raw_a=[[0, 1], [2, 3]], raw_b=[[1, 2]])
+    @example(raw_a=[[0, 2], [1, 1]], raw_b=[])
+    def test_set_ops_equal_the_pairwise_loops(self, raw_a, raw_b):
+        a, b = U(*raw_a), U(*raw_b)
+        a_parts = reference_canonical(Interval(lo, hi) for lo, hi in raw_a)
+        b_parts = reference_canonical(Interval(lo, hi) for lo, hi in raw_b)
+        assert a.parts == a_parts and b.parts == b_parts
+        a_only = reference_difference(a_parts, b_parts)
+        b_only = reference_difference(b_parts, a_parts)
+        assert a.union(b).parts == reference_canonical(a_parts + b_parts)
+        assert a.intersection(b).parts == reference_intersection(a_parts, b_parts)
+        assert a.difference(b).parts == a_only
+        assert a.symmetric_difference(b).parts == reference_canonical(a_only + b_only)
 
 
 class TestGroupAverage:
@@ -318,6 +391,53 @@ class TestEstimation:
         a = registry.set_of([float(v) for v in xs])
         b = registry.set_of([float(v) for v in ys])
         assert _average_metric_1d(xs, ys) == pytest.approx(average_metric(euclid, a, b))
+
+
+class TestSampleSides:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw_a=RAW_PARTS,
+        raw_b=RAW_PARTS,
+        population=st.sampled_from([U((0, 8)), U((0, 4), (5, 9))]),
+        n=st.sampled_from([8, 16, 32, 500]),
+        seed=st.integers(0, 3),
+        mode=st.sampled_from(["random", "systematic"]),
+    )
+    # a systematic grid of 8 points over [0, 8] lands on both ends of [0.5, 1.5]
+    @example(raw_a=[[0.5, 1.5]], raw_b=[[1.5, 3.5]], population=U((0, 8)), n=8,
+             seed=0, mode="systematic")
+    def test_mask_equals_a_scan_of_the_parts(self, raw_a, raw_b, population, n, seed, mode):
+        a, b = U(*raw_a), U(*raw_b)
+        plan = SamplePlan(population, n=n, seed=seed, mode=mode)
+        points = _sample_interval_points(population, plan)
+        for u, side in zip((a, b), _sample_sides(a, b, plan)):
+            scan = [x for x in points.tolist() if any(p.lo <= x <= p.hi for p in u.parts)]
+            assert side.tolist() == scan
+
+
+SAMPLERS = [functools.partial(estimate_average_metric, metric=EuclideanMetric()),
+            sample_count_ratio]
+
+
+class TestOperandKinds:
+    @pytest.mark.parametrize("sample", SAMPLERS, ids=["estimate", "ratio"])
+    def test_interval_operands_over_a_finite_population(self, sample, line_registry):
+        plan = SamplePlan(line_registry.universe(), n=50, seed=0)
+        with pytest.raises(ParameterError, match="FiniteSet operands"):
+            sample(U((0, 3)), U((2, 5)), plan)
+
+    @pytest.mark.parametrize("sample", SAMPLERS, ids=["estimate", "ratio"])
+    def test_finite_operands_over_an_interval_population(self, sample, line_registry):
+        a, b = line_registry.set_of([0, 1, 2]), line_registry.set_of([2, 3])
+        plan = SamplePlan(U((0, 9)), n=50, seed=0)
+        with pytest.raises(ParameterError, match="IntervalUnion operands"):
+            sample(a, b, plan)
+
+    @pytest.mark.parametrize("sample", SAMPLERS, ids=["estimate", "ratio"])
+    def test_callable_operand(self, sample):
+        plan = SamplePlan(U((0, 9)), n=50, seed=0)
+        with pytest.raises(ParameterError, match="IntervalUnion operands"):
+            sample(lambda x: 0 <= x <= 3, U((2, 5)), plan)
 
 
 class TestSampleCountRatio:

@@ -20,7 +20,6 @@ from setmetric import (
     RegistryMismatchError,
     UnknownIdError,
     average_metric,
-    base_distance,
     group_average,
     hausdorff,
     jaccard,
@@ -109,8 +108,9 @@ class TestBaseMetrics:
         assert m.distance(Element(0, (0.0, 0.0)), Element(1, (3.0, 4.0))) == 7.0
 
     def test_lp_requires_p_at_least_one(self):
-        with pytest.raises(ParameterError):
-            LpMetric(0.5)
+        for p in (0.5, math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                LpMetric(p)
 
     def test_matrix_valid_table(self):
         m = MatrixMetric(["a", "b", "c"], [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
@@ -140,16 +140,16 @@ class TestBaseMetrics:
         with pytest.raises(UnknownIdError):
             m.distance(Element("a"), Element("zz"))
 
-    def test_base_distance_passthrough(self):
-        m = DiscreteMetric(2.5)
-        assert base_distance(m, Element("a"), Element("b")) == 2.5
-
 
 def reference_matrix_check(ids, values, pseudo=False, tolerance=1e-12):
     """The table checks as plain loops, in the order whose first failure
     ``MatrixMetric`` must report."""
     rows = tuple(tuple(float(v) for v in row) for row in values)
     n = len(ids)
+    for i in range(n):
+        for j in range(n):
+            if math.isnan(rows[i][j]):
+                raise ParameterError(f"undefined distance between {ids[i]!r} and {ids[j]!r}")
     for i in range(n):
         if abs(rows[i][i]) > tolerance:
             raise ParameterError(f"nonzero self-distance for id {ids[i]!r}")
