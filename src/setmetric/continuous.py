@@ -18,7 +18,9 @@ Steinhaus distance mu(A△B)/mu(A∪B).
 
 ``estimate_average_metric`` approximates the set metric for large or
 continuous populations: sample a superset, intersect the sample with each
-set, and evaluate the finite-set metric on the intersections.
+set, and evaluate the finite-set metric on the intersections. numpy is
+imported only by membership masks and sampling, so the exact distances never
+load it.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Union
 
 from .core import (
     BaseMetric,
@@ -46,6 +46,9 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,12 @@ class IntervalUnion:
         return self.parts[-1].hi
 
     def contains(self, x: float) -> bool:
+        import numpy as np
         return bool(self._inside(np.array([x], dtype=float))[0])
 
     def _inside(self, points: np.ndarray) -> np.ndarray:
         """Mask of the points that lie in a part, both ends included."""
+        import numpy as np
         starts = np.array([p.lo for p in self.parts])
         # a point before every part indexes the -inf after the last end
         ends = np.array([p.hi for p in self.parts] + [-math.inf])
@@ -296,6 +301,11 @@ class SamplePlan:
     mode: str = "random"
 
     def __post_init__(self):
+        if not isinstance(self.population, (IntervalUnion, FiniteSet)):
+            raise ParameterError(
+                "sampling population must be an IntervalUnion or a FiniteSet, "
+                f"got {type(self.population).__name__}"
+            )
         if self.n < 1:
             raise ParameterError(f"sample count must be >= 1, got {self.n}")
         if self.mode not in ("random", "systematic"):
@@ -313,6 +323,7 @@ Membership = Union[IntervalUnion, FiniteSet]
 
 
 def _sample_interval_points(population: IntervalUnion, plan: SamplePlan) -> np.ndarray:
+    import numpy as np
     total = population.measure
     if total == 0.0:
         raise NullMeasureError("sampling population has zero measure")
@@ -329,6 +340,7 @@ def _sample_interval_points(population: IntervalUnion, plan: SamplePlan) -> np.n
 
 
 def _abs_cross_sum(xs: np.ndarray, ys: np.ndarray) -> float:
+    import numpy as np
     # Sum over all pairs of |x - y| in O((m+n) log n) via prefix sums.
     ys = np.sort(ys)
     prefix = np.concatenate(([0.0], np.cumsum(ys)))
@@ -341,6 +353,7 @@ def _abs_cross_sum(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def _average_metric_1d(xs: np.ndarray, ys: np.ndarray) -> float:
+    import numpy as np
     # Finite-set average metric over sorted unique 1-d points with d = |x-y|.
     return _set_average(xs, ys, _abs_cross_sum,
                         difference=functools.partial(np.setdiff1d, assume_unique=True))
@@ -350,6 +363,7 @@ def _sample_sides(a: Membership, b: Membership, plan: SamplePlan) -> tuple:
     """The plan's sample intersected with A and with B: arrays of sorted
     unique points for an interval population, id sets for a finite one. The
     operands must be of the population's kind."""
+    import numpy as np
     kind = IntervalUnion if isinstance(plan.population, IntervalUnion) else FiniteSet
     if not (isinstance(a, kind) and isinstance(b, kind)):
         raise ParameterError(

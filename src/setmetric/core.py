@@ -27,6 +27,9 @@ Small matrices are evaluated pair by pair through ``distance``; from
 ``_cross_rows`` produces the matrix with numpy, in chunks of rows. Sums over
 it are one ``math.fsum``; minima are evaluated again through ``distance``
 where the block cannot tell them apart, so they are exact.
+
+numpy is imported inside the functions that use it: the block path, the
+payload table and ``MatrixMetric`` validation. The scalar path never loads it.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -47,6 +48,9 @@ from .errors import (
     RegistryMismatchError,
     UnknownIdError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ElementId = str | int
 
@@ -87,6 +91,8 @@ class ElementRegistry:
             payload = tuple(float(v) for v in payload)
         elif isinstance(payload, (int, float)) and not isinstance(payload, bool):
             payload = (float(payload),)
+        if isinstance(payload, tuple) and any(map(math.isnan, payload)):
+            raise ParameterError(f"NaN coordinate in the payload of {eid!r}")
         element = Element(eid, payload)
         self._elements[eid] = element
         self._table = None
@@ -102,6 +108,7 @@ class ElementRegistry:
         [2**-502, 2**501], so no square and no sum of squares leaves the
         normal float range. Built on first use; ``add`` drops it.
         """
+        import numpy as np
         if self._table is None:
             rows = {eid: k for k, eid in enumerate(self._elements)}
             payloads = [e.payload for e in self._elements.values()]
@@ -257,6 +264,7 @@ class EuclideanMetric(BaseMetric):
         return None if coords is None else coords[_rows_of(rows, ids)]
 
     def _block(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        import numpy as np
         # the square root of the summed squared differences: from the same
         # differences as math.dist, within (dimension + 4) ulps of it for the
         # payloads _payload_table admits, but not always equal to it
@@ -286,8 +294,8 @@ class MatrixMetric(BaseMetric):
     """Explicit symmetric distance table over ids, axiom-checked on load.
 
     A table flagged ``pseudo`` may contain off-diagonal zeros (distinct ids
-    at distance zero); non-negativity, zero diagonal, symmetry and the
-    triangle inequality are enforced either way.
+    at distance zero); finite cells, non-negativity, zero diagonal, symmetry
+    and the triangle inequality are enforced either way.
     """
 
     def __init__(
@@ -297,6 +305,7 @@ class MatrixMetric(BaseMetric):
         pseudo: bool = False,
         tolerance: float = 1e-12,
     ):
+        import numpy as np
         ids = tuple(ids)
         if len(set(ids)) != len(ids):
             raise ParameterError("matrix metric ids must be unique")
@@ -307,16 +316,18 @@ class MatrixMetric(BaseMetric):
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ParameterError(f"matrix metric table must be {n}x{n}")
         table = np.array(rows, dtype=np.float64)
-        undefined = np.flatnonzero(np.isnan(table))  # every comparison below is false for NaN
-        if undefined.size:
-            i, j = divmod(int(undefined[0]), n)
-            raise ParameterError(f"undefined distance between {ids[i]!r} and {ids[j]!r}")
+        # every comparison below is false for NaN, and no triangle catches an
+        # infinite pair of two ids
+        nonfinite = np.flatnonzero(~np.isfinite(table))
+        if nonfinite.size:
+            i, j = divmod(int(nonfinite[0]), n)
+            kind = "undefined" if math.isnan(rows[i][j]) else "infinite"
+            raise ParameterError(f"{kind} distance between {ids[i]!r} and {ids[j]!r}")
         # Each failure is reported at the first (i, j) or (i, j, k) in the
         # order of the loops "for i: diagonal, then for j: negative,
         # asymmetric, zero", then "for i, j, k: triangle".
         negative = table < -tolerance
-        with np.errstate(invalid="ignore"):  # inf - inf compares false, as in Python
-            asymmetric = np.abs(table - table.T) > tolerance
+        asymmetric = np.abs(table - table.T) > tolerance
         if pseudo:
             zero = np.zeros((n, n), dtype=bool)
         else:
@@ -364,6 +375,7 @@ class MatrixMetric(BaseMetric):
         return _rows_of(self._index, ids)
 
     def _block(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        import numpy as np
         return self._table[np.ix_(x, y)]
 
 
@@ -389,6 +401,7 @@ _BATCHED = frozenset({EuclideanMetric, MatrixMetric})
 
 
 def _rows_of(index: Mapping, ids: Collection) -> np.ndarray:
+    import numpy as np
     return np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
 
 
@@ -422,6 +435,7 @@ def _max_min(
     that factor of the row's minimum: only these pairs are evaluated again
     with ``distance``.
     """
+    import numpy as np
     element = registry.element
     best = ceiling = -math.inf
     r0 = 0
@@ -439,6 +453,7 @@ def _max_min(
 def _row_chunks(block: Callable, x: Any, y: Any) -> Iterator[np.ndarray]:
     """``block(x, y)`` in chunks of rows of at most ``_TILE_VALUES`` values;
     a row longer than that is built from tiles of columns."""
+    import numpy as np
     step = max(1, _TILE_VALUES // len(y))
     for r0 in range(0, len(x), step):
         rows = x[r0:r0 + step]

@@ -22,8 +22,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-import numpy as np
-
 from .core import (
     BaseMetric,
     ElementId,
@@ -153,6 +151,7 @@ def duality_ratio(
     and returns ``(ratio, table)`` where the table rows are
     ``(id_a, id_b, level2_distance)`` in sorted pair order.
     """
+    import numpy as np
     if not 2 <= len(x) <= 12:
         raise ParameterError(
             f"duality experiment needs a ground set of 2..12 elements, got {len(x)}"

@@ -62,9 +62,18 @@ def _validated(
             raise ParameterError(
                 f"length mismatch: {len(vals)} values, {len(wts)} weights"
             )
-    if nonneg_values and any(v < 0 for v in vals):
+    # NaN fails every comparison, so the non-negativity tests also catch it
+    if nonneg_values:
+        bad_values = not all(v >= 0 for v in vals)
+    else:
+        bad_values = any(map(math.isnan, vals))
+    if bad_values:
+        if any(map(math.isnan, vals)):
+            raise ParameterError("mean of a NaN value")
         raise ParameterError("power mean expects non-negative values")
-    if any(w < 0 for w in wts):
+    if not all(w >= 0 for w in wts):
+        if any(map(math.isnan, wts)):
+            raise ParameterError("mean with a NaN weight")
         raise ParameterError("weights must be non-negative")
     if not any(w > 0 for w in wts):
         raise ParameterError("at least one weight must be positive")

@@ -126,6 +126,11 @@ class TestDist:
     ({"metric": {"kind": "lp", "p": "inf"}}, ["--family", "f", "A", "B"]),
     ({"metric": {"kind": "matrix", "ids": ["a", "b"], "values": [[0, math.nan], [math.nan, 0]]}},
      ["--family", "f", "A", "B"]),
+    ({"metric": {"kind": "matrix", "ids": ["a", "b"], "values": [[0, math.inf], [math.inf, 0]]},
+      "elements": {"a": None, "b": None}, "sets": {"A": ["a"], "B": ["b"]}},
+     ["--family", "f", "A", "B"]),
+    ({"elements": {"a": [0.0, math.nan], "b": [1.0, 1.0]}, "sets": {"A": ["a"], "B": ["b"]}},
+     ["--family", "f", "A", "B"]),
 ])
 def test_malformed_workspace_exits_2(tmp_path, doc, argv):
     path = tmp_path / "workspace.json"

@@ -439,6 +439,10 @@ class TestOperandKinds:
         with pytest.raises(ParameterError, match="IntervalUnion operands"):
             sample(lambda x: 0 <= x <= 3, U((2, 5)), plan)
 
+    def test_population_of_another_kind(self):
+        with pytest.raises(ParameterError, match="IntervalUnion or a FiniteSet"):
+            SamplePlan([0, 1, 2], n=50, seed=0)
+
 
 class TestSampleCountRatio:
     def test_identical_sets(self):

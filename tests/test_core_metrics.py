@@ -150,6 +150,8 @@ def reference_matrix_check(ids, values, pseudo=False, tolerance=1e-12):
         for j in range(n):
             if math.isnan(rows[i][j]):
                 raise ParameterError(f"undefined distance between {ids[i]!r} and {ids[j]!r}")
+            if math.isinf(rows[i][j]):
+                raise ParameterError(f"infinite distance between {ids[i]!r} and {ids[j]!r}")
     for i in range(n):
         if abs(rows[i][i]) > tolerance:
             raise ParameterError(f"nonzero self-distance for id {ids[i]!r}")

@@ -81,6 +81,10 @@ class TestPowerMean:
             power_mean([-1.0], None, 1.0)
         with pytest.raises(ParameterError):
             power_mean([1.0, 2.0], [0.0, 0.0], 1.0)
+        with pytest.raises(ParameterError, match="NaN value"):
+            power_mean([1.0, math.nan], None, 2.0)
+        with pytest.raises(ParameterError, match="NaN weight"):
+            power_mean([1.0, 2.0], [1.0, math.nan], 2.0)
 
     @settings(max_examples=200)
     @given(
@@ -119,6 +123,10 @@ class TestExpMean:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ParameterError):
             exp_mean([1.0], [0.0], 1.0)
+        with pytest.raises(ParameterError, match="NaN value"):
+            exp_mean([1.0, math.nan], None, 2.0)
+        with pytest.raises(ParameterError, match="NaN weight"):
+            exp_mean([1.0, 2.0], [1.0, math.nan], 2.0)
 
     @pytest.mark.parametrize("p", [5e-324, -5e-324])
     def test_subnormal_order_stays_within_range(self, p):
