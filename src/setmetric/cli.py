@@ -23,6 +23,7 @@ from .axioms import (
     subset_triple_sampler,
 )
 from .continuous import (
+    MAX_SAMPLES,
     IntervalUnion,
     SamplePlan,
     estimate_average_metric,
@@ -152,39 +153,50 @@ def _finite_distance_fn(ws: Workspace, args):
     return lambda a, b: distance(m, a, b, args, lam)
 
 
-def _pair_value(ws: Workspace, args, name_a: str, name_b: str) -> float:
+def _operands(ws: Workspace, args, name_a: str, name_b: str) -> tuple:
+    """The two named operands of the family, resolved and validated."""
     family = args.family
     if family in INTERVAL_FAMILIES:
         ia, ib = _resolve_interval(ws, name_a), _resolve_interval(ws, name_b)
         if family == "steinhaus":
-            return steinhaus(ia, ib)
-        singles = []
+            return ia, ib
         for name, union in ((name_a, ia), (name_b, ib)):
             if len(union.parts) != 1:
                 raise ParameterError(
                     f"family 'interval' needs single intervals; {name!r} has "
                     f"{len(union.parts)} parts"
                 )
-            singles.append(union.parts[0])
-        return interval_metric_closed_form(singles[0], singles[1])
+        return ia.parts[0], ib.parts[0]
     if family == "fuzzy":
         try:
-            fa, fb = ws.fuzzy[name_a], ws.fuzzy[name_b]
+            return ws.fuzzy[name_a], ws.fuzzy[name_b]
         except KeyError as exc:
             raise ParameterError(f"unknown fuzzy set name {exc.args[0]!r}") from None
-        return fuzzy_distance(
-            ws.metric, ws.registry, fa, fb,
-            alpha_grid=args.alpha_grid, alpha_weight=args.alpha_weight,
-        )
     if family == "fk":
         na, nb = _nested_operand(ws, name_a), _nested_operand(ws, name_b)
         if args.level is not None and na.level != args.level:
             raise ParameterError(
                 f"operand {name_a!r} parses to level {na.level}, --level says {args.level}"
             )
-        return nested_average_metric(ws.metric, ws.registry, na, nb)
-    fn = _finite_distance_fn(ws, args)
-    return fn(_resolve_set(ws, name_a), _resolve_set(ws, name_b))
+        return na, nb
+    return _resolve_set(ws, name_a), _resolve_set(ws, name_b)
+
+
+def _distance_fn(ws: Workspace, args):
+    """Closure (a, b) -> value of the family, over operands from ``_operands``."""
+    family = args.family
+    if family == "steinhaus":
+        return steinhaus
+    if family == "interval":
+        return interval_metric_closed_form
+    if family == "fuzzy":
+        return lambda a, b: fuzzy_distance(
+            ws.metric, ws.registry, a, b,
+            alpha_grid=args.alpha_grid, alpha_weight=args.alpha_weight,
+        )
+    if family == "fk":
+        return lambda a, b: nested_average_metric(ws.metric, ws.registry, a, b)
+    return _finite_distance_fn(ws, args)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +206,8 @@ def _pair_value(ws: Workspace, args, name_a: str, name_b: str) -> float:
 
 def cmd_dist(args) -> int:
     ws = load_workspace(args.workspace)
-    value = _pair_value(ws, args, args.set_a, args.set_b)
-    print(format_scalar(value))
+    distance = _distance_fn(ws, args)
+    print(format_scalar(distance(*_operands(ws, args, args.set_a, args.set_b))))
     return 0
 
 
@@ -204,10 +216,20 @@ def cmd_matrix(args) -> int:
     names = args.sets
     if len(names) < 2:
         raise ParameterError("matrix needs at least two names")
-    values = [
-        [_pair_value(ws, args, na, nb) for nb in names]
-        for na in names
-    ]
+    distance = _distance_fn(ws, args)
+    # Every cell's operands are resolved, in row-major order, so each error
+    # comes at the cell it always came at. Under an exactly symmetric ground
+    # metric each family is symmetric bit for bit, so a cell below the
+    # diagonal copies its mirror image; the diagonal is computed, as g and
+    # dnu are not 0 there.
+    mirror = ws.metric.symmetric
+    values: list[list[float]] = []
+    for i, na in enumerate(names):
+        row = []
+        for j, nb in enumerate(names):
+            a, b = _operands(ws, args, na, nb)
+            row.append(values[j][i] if mirror and j < i else distance(a, b))
+        values.append(row)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow([""] + list(names))
     for name, row in zip(names, values):
@@ -217,6 +239,8 @@ def cmd_matrix(args) -> int:
 
 def cmd_axioms(args) -> int:
     if args.random:
+        if args.dim < 1:
+            raise ParameterError(f"--dim must be at least 1, got {args.dim}")
         rng = random.Random(args.seed)
         registry = random_point_registry(rng, size=args.pool, dim=args.dim)
         ws = Workspace(registry=registry, metric=EuclideanMetric())
@@ -230,6 +254,8 @@ def cmd_axioms(args) -> int:
         lo, hi = int(min_size), int(max_size or min_size)
     except ValueError:
         raise ParameterError(f"bad --sizes {args.sizes!r}, expected LO:HI") from None
+    if not 1 <= lo <= hi:
+        raise ParameterError(f"bad --sizes {args.sizes!r}, expected 1 <= LO <= HI")
 
     if args.fixture == "chained-overlap":
         sampler = chained_overlap_sampler(ws.registry)
@@ -403,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("set_a")
     p_est.add_argument("set_b")
     p_est.add_argument("--population", help="named superset to sample from")
-    p_est.add_argument("--n", type=int, default=10000)
+    p_est.add_argument("--n", type=int, default=10000,
+                       help=f"sample count, from 1 to {MAX_SAMPLES:,}")
     p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--mode", choices=["random", "systematic"], default="random")
     p_est.set_defaults(func=cmd_estimate)

@@ -288,6 +288,10 @@ def steinhaus(a: IntervalUnion, b: IntervalUnion) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The largest sample count a plan accepts: a sample holds n floats or ids.
+MAX_SAMPLES = 10**7
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """How to draw the sample: the population (an interval union or a finite
@@ -308,6 +312,8 @@ class SamplePlan:
             )
         if self.n < 1:
             raise ParameterError(f"sample count must be >= 1, got {self.n}")
+        if self.n > MAX_SAMPLES:
+            raise ParameterError(f"sample count must be at most {MAX_SAMPLES:,}, got {self.n}")
         if self.mode not in ("random", "systematic"):
             raise ParameterError(f"unknown sampling mode {self.mode!r}")
 

@@ -219,7 +219,13 @@ class BaseMetric:
     path, and ``_block(x, y)`` returns the float64 matrix d(x_i, y_j) for two
     operands (or row slices of them), each value within relative 2**-32 of
     ``distance``. Other metrics, subclasses included, take the scalar path.
+
+    ``symmetric`` says that ``distance(x, y) == distance(y, x)`` holds bit
+    for bit, so a caller may evaluate one order for both; a subclass that
+    redefines ``distance`` restates it.
     """
+
+    symmetric = False
 
     def distance(self, x: Element, y: Element) -> float:
         raise NotImplementedError
@@ -244,6 +250,7 @@ class DiscreteMetric(BaseMetric):
     """d(x,y) = 0 when the ids coincide, else a fixed positive scale."""
 
     lam: float = 1.0
+    symmetric = True
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -255,6 +262,8 @@ class DiscreteMetric(BaseMetric):
 
 @dataclass(frozen=True)
 class EuclideanMetric(BaseMetric):
+    symmetric = True  # |x_k - y_k| == |y_k - x_k| in floating point too
+
     def distance(self, x: Element, y: Element) -> float:
         px, py = _vector_pair(x, y)
         return math.dist(px, py)
@@ -280,6 +289,7 @@ class LpMetric(BaseMetric):
     """L_p distance on vector payloads, 1 <= p < inf."""
 
     p: float = 2.0
+    symmetric = True
 
     def __post_init__(self):
         if not 1 <= self.p < math.inf:
@@ -295,7 +305,8 @@ class MatrixMetric(BaseMetric):
 
     A table flagged ``pseudo`` may contain off-diagonal zeros (distinct ids
     at distance zero); finite cells, non-negativity, zero diagonal, symmetry
-    and the triangle inequality are enforced either way.
+    and the triangle inequality are enforced either way. Symmetry is checked
+    within ``tolerance``; ``symmetric`` records whether it holds exactly.
     """
 
     def __init__(
@@ -358,6 +369,7 @@ class MatrixMetric(BaseMetric):
                 )
         self.ids = ids
         self.pseudo = pseudo
+        self.symmetric = bool((table == table.T).all())
         self._index = {eid: k for k, eid in enumerate(ids)}
         self._rows = rows
         self._table = table

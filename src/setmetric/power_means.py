@@ -28,9 +28,10 @@ nu < 1/2 and a true metric at nu = 1/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     BaseMetric,
@@ -41,6 +42,9 @@ from .core import (
     _require_same_registry,
 )
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _INF = float("inf")
 _TINY = sys.float_info.min  # smallest positive normal float
@@ -187,10 +191,9 @@ def pointwise_mean_distance(
     """
     _require_same_registry("pointwise_mean_distance", a, b)
     _require_nonempty("pointwise_mean_distance", a, b)
-    inner = _mean_fn(j)
     outer = _mean_fn(i)
-    into_a = _means_into(m, a, b, inner, q)
-    into_b = _means_into(m, b, a, inner, q)
+    into_a = _means_into(m, a, b, j, q)
+    into_b = _means_into(m, b, a, j, q)
     values = [
         0.0 if eid in a.ids and eid in b.ids else into_a(eid) if eid in b.ids else into_b(eid)
         for eid in a.union(b).members
@@ -198,18 +201,21 @@ def pointwise_mean_distance(
     return outer(values, None, p)
 
 
-def _means_into(m: BaseMetric, side: FiniteSet, other: FiniteSet, inner, q: float):
-    """id -> inner mean (order ``q``) of the distances from that member of
-    ``other`` outside ``side`` to the members of ``side``.
+def _means_into(m: BaseMetric, side: FiniteSet, other: FiniteSet, j: int, q: float):
+    """id -> inner mean (kind ``j``, order ``q``) of the distances from that
+    member of ``other`` outside ``side`` to the members of ``side``.
 
-    From the cross-distance block when it is taken, all at once; otherwise
-    one row per call, so rows and their errors come in the caller's order.
+    From the cross-distance block when it is taken, a chunk of rows at a
+    time; otherwise one row per call, so rows and their errors come in the
+    caller's order.
     """
+    inner = _mean_fn(j)
     registry, inside = side.registry, side.ids
     outside = [eid for eid in other.members if eid not in inside]
     rows = _cross_rows(m, registry, outside, side.members)
     if rows is not None:
-        means = (inner(row, None, q) for chunk in rows for row in chunk.tolist())
+        row_means = _power_mean_rows if j == 1 else _exp_mean_rows
+        means = itertools.chain.from_iterable(row_means(chunk, q).tolist() for chunk in rows)
         return dict(zip(outside, means)).__getitem__
     targets = side.elements()
 
@@ -218,6 +224,80 @@ def _means_into(m: BaseMetric, side: FiniteSet, other: FiniteSet, inner, q: floa
         return inner([m.distance(x, y) for y in targets], None, q)
 
     return mean_into
+
+
+# The means of each row of a chunk of the cross-distance block. Its values are
+# finite and non-negative under unit weights, so nothing is validated. The
+# algebra is that of ``power_mean`` and ``exp_mean``, the reference for these
+# functions, with the same infinities (log 0, overflowing p * x), which pass
+# without warnings.
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """One ``math.fsum`` per row: correctly rounded, so a mean does not
+    depend on the order of the ids, as numpy's row sums would."""
+    import numpy as np
+    return np.array([math.fsum(row) for row in rows.tolist()])
+
+
+def _power_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
+    """``power_mean(row, None, p)`` for each row of ``rows``."""
+    import numpy as np
+    if p == _INF:
+        return rows.max(axis=1)
+    if p == -_INF:
+        return rows.min(axis=1)
+    n = rows.shape[1]
+    if p == 1:
+        return _row_sums(rows) / n
+    # m is the extreme value factored out; where it is 0, so is the mean: a
+    # zero value for p <= 0, a row of zeros for p > 0
+    m = rows.max(axis=1) if p > 0 else rows.min(axis=1)
+    means = np.zeros(len(rows))
+    live = np.flatnonzero(m)
+    x, m = rows[live], m[live, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        if p == 0:
+            geometric = np.full(len(x), True)
+        else:
+            ratio = x / m
+            logs = np.log(ratio)
+            # as in _log_ratio: a positive value far below m underflows the ratio
+            under = (ratio == 0.0) & (x > 0.0)
+            if under.any():
+                logs[under] = (np.log(x) - np.log(m))[under]
+            spread = np.abs(logs).max(axis=1)
+            geometric = (spread > 0.0) & (spread * abs(p) < _TINY)
+        powered = ~geometric
+        if powered.any():
+            delta = _row_sums(np.expm1(p * logs[powered]))
+            means[live[powered]] = m[powered, 0] * np.exp(np.log1p(delta / n) / p)
+        if geometric.any():
+            means[live[geometric]] = np.exp(_row_sums(np.log(x[geometric])) / n)
+    return means
+
+
+def _exp_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
+    """``exp_mean(row, None, p)`` for each row of ``rows``."""
+    import numpy as np
+    if p == _INF:
+        return rows.max(axis=1)
+    if p == -_INF:
+        return rows.min(axis=1)
+    n = rows.shape[1]
+    means = np.empty(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the spread is finite, so p = 0 takes the arithmetic mean here too
+        arithmetic = (rows.max(axis=1) - rows.min(axis=1)) * abs(p) < _TINY
+        if arithmetic.any():
+            means[arithmetic] = _row_sums(rows[arithmetic]) / n
+        powered = ~arithmetic
+        if powered.any():
+            scaled = p * rows[powered]
+            shift = scaled.max(axis=1)
+            delta = _row_sums(np.expm1(scaled - shift[:, None]))
+            means[powered] = (shift + np.log1p(delta / n)) / p
+    return means
 
 
 def sidewise_mean_distance(
@@ -240,13 +320,12 @@ def sidewise_mean_distance(
     """
     _require_same_registry("sidewise_mean_distance", a, b)
     _require_nonempty("sidewise_mean_distance", a, b)
-    inner = _mean_fn(j)
     middle = _mean_fn(i)
     outer = _mean_fn(k)
     union_ids = a.union(b).members
 
     def branch(side: FiniteSet, other: FiniteSet) -> float:
-        into_side = _means_into(m, side, other, inner, q)
+        into_side = _means_into(m, side, other, j, q)
         values = [0.0 if eid in side.ids else into_side(eid) for eid in union_ids]
         return middle(values, None, p)
 

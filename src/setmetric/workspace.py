@@ -22,6 +22,7 @@ only registered ids; violations are reported at load time.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,9 +86,14 @@ def parse_workspace(doc: dict) -> Workspace:
     registry = ElementRegistry()
     for eid, payload in doc.get("elements", {}).items():
         try:
-            registry.add(eid, payload)
+            coords = registry.add(eid, payload).payload
         except (TypeError, ValueError) as exc:
             raise WorkspaceError(f"element {eid!r} has a malformed payload: {exc}") from exc
+        # the library accepts infinite and empty coordinate tuples; a
+        # workspace point needs at least one coordinate, all finite
+        if isinstance(coords, tuple) and not (coords and all(map(math.isfinite, coords))):
+            problem = "non-finite coordinate" if coords else "no coordinates"
+            raise WorkspaceError(f"element {eid!r} has a malformed payload: {problem}")
 
     sets: dict[str, FiniteSet] = {}
     for name, ids in doc.get("sets", {}).items():

@@ -36,7 +36,7 @@ from setmetric import (
     semi_metric,
     sidewise_mean_distance,
 )
-from setmetric import core
+from setmetric import core, power_means
 
 SUM_REL = 1e-13
 MEAN_REL = 1e-12
@@ -106,7 +106,9 @@ def close(got, ref, rel, scale=None):
 
 # small operands give at most 15 x 15 = 225 pairs, large ones at least 17 x 17 = 289
 SIZES = {"small": (1, 15), "large": (17, 40)}
-ORDERS = [-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf]
+# the limits, the subnormal orders next to 0, and orders so large that every
+# term but the extreme one vanishes
+ORDERS = [-math.inf, -1e300, -1.0, -5e-324, 0.0, 5e-324, 0.5, 1.0, 2.0, 1e300, math.inf]
 
 
 @st.composite
@@ -115,6 +117,9 @@ def cases(draw, kind, regime):
     dim = draw(st.integers(1, 4))
     coord = st.floats(-1000, 1000, allow_nan=False)
     points = draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # distinct ids at one point: cross distances of 0 inside a row
+        points = [points[k % 10] for k in range(n)]
     registry = ElementRegistry(dict(enumerate(points)))
     if kind == "euclidean":
         m = EuclideanMetric()
@@ -177,6 +182,25 @@ class TestAgainstReference:
         assert math.isclose(got, ref_pointwise(m, a, b, i, j, p, q), rel_tol=MEAN_REL)
         got = sidewise_mean_distance(m, a, b, k=k, i=i, j=j, r=r, p=p, q=q)
         assert math.isclose(got, ref_sidewise(m, a, b, k, i, j, r, p, q), rel_tol=MEAN_REL)
+
+
+# values a block row can hold: zeros, ties, and distances far enough apart
+# that their ratio underflows or overflows
+ROW_VALUES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e300]),
+                       st.floats(0, 1e6))
+
+
+# 1e-300: small enough for p * log(ratio) to be tiny, large enough to keep
+# clear of the order-0 cutoff, so a ratio that underflows shows
+@settings(max_examples=500, deadline=None)
+@given(rows=st.lists(st.lists(ROW_VALUES, min_size=4, max_size=4), min_size=1, max_size=6),
+       j=st.integers(0, 1), q=st.sampled_from(ORDERS + [1e-300]))
+def test_row_means_match_the_scalar_means(rows, j, q):
+    row_means = power_means._power_mean_rows if j == 1 else power_means._exp_mean_rows
+    for row, got in zip(rows, row_means(np.array(rows), q).tolist()):
+        ref = mean(j)(row, None, q)
+        # exp_mean overflows to nan where p * x does, in both forms
+        assert math.isclose(got, ref, rel_tol=MEAN_REL) or math.isnan(got) and math.isnan(ref)
 
 
 def test_large_operands_take_the_block_and_small_ones_do_not():

@@ -131,6 +131,11 @@ class TestDist:
      ["--family", "f", "A", "B"]),
     ({"elements": {"a": [0.0, math.nan], "b": [1.0, 1.0]}, "sets": {"A": ["a"], "B": ["b"]}},
      ["--family", "f", "A", "B"]),
+    # infinite and empty coordinates: the distance printed nan and 0
+    ({"elements": {"a": [math.inf], "b": [math.inf]}, "sets": {"A": ["a"], "B": ["b"]}},
+     ["--family", "f", "A", "B"]),
+    ({"elements": {"a": [], "b": []}, "sets": {"A": ["a"], "B": ["b"]}},
+     ["--family", "f", "A", "B"]),
 ])
 def test_malformed_workspace_exits_2(tmp_path, doc, argv):
     path = tmp_path / "workspace.json"
@@ -211,6 +216,21 @@ class TestAxioms:
     def test_needs_workspace_or_random(self):
         result = run_cli("axioms", "--family", "f")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sizes", "0:2"], "bad --sizes '0:2'"),  # exited 3 on an empty set
+        (["--sizes", "5:3"], "bad --sizes '5:3'"),  # ran as 3:3
+        (["--dim", "0"], "--dim must be at least 1"),  # reported false M3 violations
+    ])
+    def test_bad_sizes_and_dim_exit_2(self, flags, message):
+        result = run_cli("axioms", "--random", "--family", "f", "--n", "20", *flags)
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {message}")
+
+    def test_sizes_above_the_pool_are_clamped(self):
+        result = run_cli("axioms", "--random", "--family", "f", "--n", "20",
+                         "--pool", "6", "--sizes", "2:50")
+        assert result.returncode == 0
 
 
 class TestVerify:

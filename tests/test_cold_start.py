@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL = {
     "metric": {"kind": "euclidean"},
     "elements": {f"p{k}": [float(k), float(k % 3)] for k in range(7)},
-    "sets": {"A": ["p0", "p1", "p2"], "B": ["p3", "p4", "p5", "p6"]},
+    "sets": {"A": ["p0", "p1", "p2"], "B": ["p3", "p4", "p5", "p6"], "C": ["p1", "p4"]},
     "intervals": {"I": [[0, 1]], "J": [[0.5, 2]], "K": [[0.25, 0.75]]},
 }
 
@@ -63,9 +63,11 @@ def test_import_does_not_load_numpy(statements):
 @pytest.mark.parametrize("argv", [
     ["dist", "--family", "f", "A", "B"],
     ["dist", "--family", "h", "A", "B"],
+    ["matrix", "--family", "f", "A", "B", "C"],
+    ["matrix", "--family", "u", "--p", "2", "--q=-1", "A", "B", "C"],
     ["matrix", "--family", "steinhaus", "I", "J", "K"],
     ["matrix", "--family", "interval", "I", "J", "K"],
-], ids=["dist-f", "dist-h", "matrix-steinhaus", "matrix-interval"])
+], ids=["dist-f", "dist-h", "matrix-f", "matrix-u", "matrix-steinhaus", "matrix-interval"])
 def test_small_workspace_commands_do_not_load_numpy(workspaces, argv):
     argv = [argv[0], "--workspace", workspaces["small"], *argv[1:]]
     assert not numpy_loaded(cli_run(argv))

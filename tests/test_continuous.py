@@ -36,6 +36,7 @@ from setmetric import (
     steinhaus,
 )
 from setmetric.continuous import (
+    MAX_SAMPLES,
     _abs_cross_sum,
     _average_metric_1d,
     _sample_interval_points,
@@ -442,6 +443,19 @@ class TestOperandKinds:
     def test_population_of_another_kind(self):
         with pytest.raises(ParameterError, match="IntervalUnion or a FiniteSet"):
             SamplePlan([0, 1, 2], n=50, seed=0)
+
+
+class TestSampleCount:
+    # a plan allocates nothing: these construct plans only, never draw
+    @pytest.mark.parametrize("n", [0, -1, MAX_SAMPLES + 1, 10**18])
+    def test_out_of_range_rejected(self, n, line_registry):
+        for population in (U((0, 1)), line_registry.universe()):
+            with pytest.raises(ParameterError, match="sample count"):
+                SamplePlan(population, n=n, seed=0)
+
+    def test_ceiling_accepted_and_far_above_the_benchmark(self):
+        assert SamplePlan(U((0, 1)), n=MAX_SAMPLES, seed=0).n == MAX_SAMPLES
+        assert MAX_SAMPLES >= 100 * 100_000
 
 
 class TestSampleCountRatio:
