@@ -28,6 +28,10 @@ METRIC_AXIOMS = ("M1", "M2", "M3", "M4", "M5")
 PARTIAL_AXIOMS = ("M1", "M3", "M4", "partial-M5")
 _KNOWN_AXIOMS = frozenset(METRIC_AXIOMS) | {"partial-M5"}
 
+# Resource limits: a triple's violations keep their witnesses, about 1 KB
+MAX_TRIPLES = 100_000  # check_axioms: samples
+MAX_COORDINATES = 100_000  # random_point_registry: points x dimension
+
 DistanceFn = Callable[[Any, Any], float]
 TripleSampler = Callable[[random.Random], tuple[Any, Any, Any]]
 
@@ -85,8 +89,10 @@ def check_axioms(
     """Sample ``n`` operand triples and record every axiom violation."""
     if n < 1:
         raise ParameterError(f"need at least one sample, got n={n}")
-    if tolerance < 0:
-        raise ParameterError("tolerance must be non-negative")
+    if n > MAX_TRIPLES:
+        raise ParameterError(f"at most {MAX_TRIPLES:,} samples, got n={n}")
+    if not tolerance >= 0:  # NaN too: it would pass every check
+        raise ParameterError(f"tolerance must be non-negative, got {tolerance}")
     wanted = tuple(axioms)
     for name in wanted:
         if name not in _KNOWN_AXIOMS:
@@ -138,17 +144,13 @@ def check_axioms(
 # ---------------------------------------------------------------------------
 
 
-def random_point_registry(
-    rng: random.Random,
-    size: int = 12,
-    dim: int = 2,
-    low: float = 0.0,
-    high: float = 1.0,
-) -> ElementRegistry:
-    """Registry of ``size`` points with coordinates uniform in [low, high]^dim."""
+def random_point_registry(rng: random.Random, size: int = 12, dim: int = 2) -> ElementRegistry:
+    """Registry of ``size`` points with coordinates uniform in [0, 1]^dim."""
+    if size * dim > MAX_COORDINATES:
+        raise ParameterError(f"{size} points x {dim} coordinates exceed {MAX_COORDINATES:,}")
     registry = ElementRegistry()
     for k in range(size):
-        registry.add(k, tuple(rng.uniform(low, high) for _ in range(dim)))
+        registry.add(k, tuple(rng.uniform(0.0, 1.0) for _ in range(dim)))
     return registry
 
 
@@ -178,12 +180,9 @@ def subset_triple_sampler(
     return sample
 
 
-def chained_overlap_sampler(
-    registry: ElementRegistry,
-    max_part: int = 3,
-) -> TripleSampler:
+def chained_overlap_sampler(registry: ElementRegistry) -> TripleSampler:
     """Structured triples A = d+h, B = d+h+e, C = h+e from disjoint non-empty
-    parts d, h, e.
+    parts d, h, e of at most three members each.
 
     This family defeats the triangle inequality for ``semi_metric``: the
     defect equals triangle_surplus(d, h, e) / (|A| |B| |C|).
@@ -191,7 +190,7 @@ def chained_overlap_sampler(
     ids = list(registry.ids())
     if len(ids) < 3:
         raise ParameterError("chained-overlap sampler needs at least 3 ids")
-    cap = max(1, min(max_part, len(ids) // 3))
+    cap = max(1, min(3, len(ids) // 3))
 
     def sample(rng: random.Random) -> tuple[FiniteSet, FiniteSet, FiniteSet]:
         sizes = [rng.randint(1, cap) for _ in range(3)]

@@ -13,8 +13,12 @@ import csv
 import json
 import random
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .axioms import (
+    MAX_COORDINATES,
+    MAX_TRIPLES,
     METRIC_AXIOMS,
     PARTIAL_AXIOMS,
     chained_overlap_sampler,
@@ -23,8 +27,8 @@ from .axioms import (
     subset_triple_sampler,
 )
 from .continuous import (
+    DEFAULT_ALPHA_GRID,
     MAX_SAMPLES,
-    IntervalUnion,
     SamplePlan,
     estimate_average_metric,
     fuzzy_distance,
@@ -35,7 +39,6 @@ from .continuous import (
 from .core import (
     DiscreteMetric,
     EuclideanMetric,
-    FiniteSet,
     average_metric,
     group_average,
     hausdorff,
@@ -55,10 +58,6 @@ from .power_means import (
 from .verify import SUITES, run_suite
 from .workspace import Workspace, WorkspaceError, load_workspace
 
-FINITE_FAMILIES = ("f", "g", "e", "h", "j", "symdiff", "u", "v", "u00", "v000", "dnu", "fk")
-INTERVAL_FAMILIES = ("interval", "steinhaus")
-ALL_FAMILIES = FINITE_FAMILIES + INTERVAL_FAMILIES + ("fuzzy",)
-
 
 def format_scalar(value: float) -> str:
     value = float(value)
@@ -69,11 +68,12 @@ def format_scalar(value: float) -> str:
 
 def _extended_real(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
+        if value == value:  # NaN is no order
+            return value
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number, 'inf' or '-inf', got {text!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number, 'inf' or '-inf', got {text!r}")
 
 
 def _mean_kind(text: str) -> int:
@@ -89,114 +89,96 @@ def _alpha_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad alpha grid {text!r}") from None
 
 
-def _default_lam(ws: Workspace | None) -> float:
-    if ws is not None and isinstance(ws.metric, DiscreteMetric):
-        return ws.metric.lam
-    return 1.0
+def _lam(ws: Workspace, args) -> float:
+    default = ws.metric.lam if isinstance(ws.metric, DiscreteMetric) else 1.0
+    return default if args.lam is None else args.lam
 
 
-def _resolve_set(ws: Workspace, name: str) -> FiniteSet:
+def _named(section: dict, kind: str, name: str):
     try:
-        return ws.sets[name]
+        return section[name]
     except KeyError:
-        raise ParameterError(f"unknown set name {name!r}") from None
+        raise ParameterError(f"unknown {kind} name {name!r}") from None
 
 
-def _resolve_interval(ws: Workspace, name: str) -> IntervalUnion:
-    try:
-        return ws.intervals[name]
-    except KeyError:
-        raise ParameterError(f"unknown interval name {name!r}") from None
+# Operand resolvers (ws, args, name_a, name_b) -> (a, b).
 
 
-def _nested_operand(ws: Workspace, text: str) -> NestedSet:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        raise ParameterError(f"empty nested operand {text!r}")
-    level1 = [
-        NestedSet.of(NestedSet.leaf(eid) for eid in _resolve_set(ws, name))
-        for name in names
-    ]
-    if "," in text:
-        return NestedSet.of(level1)
-    return level1[0]
+def _section(section: str, kind: str):
+    """Resolver of names in one section of the workspace."""
+    return lambda ws, args, *names: tuple(_named(getattr(ws, section), kind, n) for n in names)
 
 
-# family -> (metric, a, b, args, lam) -> value, for the finite-set families
-_FINITE_DISTANCES = {
-    "f": lambda m, a, b, args, lam: average_metric(m, a, b),
-    "g": lambda m, a, b, args, lam: group_average(m, a, b),
-    "e": lambda m, a, b, args, lam: semi_metric(m, a, b),
-    "h": lambda m, a, b, args, lam: hausdorff(m, a, b),
-    "j": lambda m, a, b, args, lam: jaccard(a, b),
-    "symdiff": lambda m, a, b, args, lam: float(symdiff_cardinality(a, b)),
-    "u": lambda m, a, b, args, lam: pointwise_mean_distance(
-        m, a, b, i=args.i, j=args.j, p=args.p, q=args.q
-    ),
-    "v": lambda m, a, b, args, lam: sidewise_mean_distance(
-        m, a, b, k=args.k, i=args.i, j=args.j, r=args.r, p=args.p, q=args.q
-    ),
-    "u00": lambda m, a, b, args, lam: closed_form_pointwise_discrete(a, b, args.p, lam),
-    "v000": lambda m, a, b, args, lam: closed_form_sidewise_discrete(a, b, args.p, lam),
-    "dnu": lambda m, a, b, args, lam: log_cardinality_distance(a, b, args.nu),
+_sets = _section("sets", "set")
+_unions = _section("intervals", "interval")
+_fuzzy_sets = _section("fuzzy", "fuzzy set")
+
+
+def _intervals(ws: Workspace, args, *names: str) -> tuple:
+    unions = _unions(ws, args, *names)  # an unknown name is reported before a union
+    for name, union in zip(names, unions):
+        if len(union.parts) != 1:
+            raise ParameterError(f"family 'interval' needs single intervals; "
+                                 f"{name!r} has {len(union.parts)} parts")
+    return tuple(union.parts[0] for union in unions)
+
+
+def _nested(ws: Workspace, args, *texts: str) -> tuple:
+    """A set name is a level-1 operand; a comma-separated list of them, level 2."""
+    operands = []
+    for text in texts:
+        names = [part.strip() for part in text.split(",") if part.strip()]
+        if not names:
+            raise ParameterError(f"empty nested operand {text!r}")
+        level1 = [NestedSet.of(map(NestedSet.leaf, _named(ws.sets, "set", name))) for name in names]
+        operands.append(NestedSet.of(level1) if "," in text else level1[0])
+    if args.level is not None and operands[0].level != args.level:
+        raise ParameterError(
+            f"operand {texts[0]!r} parses to level {operands[0].level}, --level says {args.level}"
+        )
+    return tuple(operands)
+
+
+class Family(NamedTuple):
+    operands: Callable  # (ws, args, name_a, name_b) -> (a, b)
+    distance: Callable  # (ws, args) -> ((a, b) -> value)
+
+
+# Every family of the CLI, in the order of the --family choices. The
+# distances are looked up when a command runs, not at import.
+FAMILIES = {
+    "f": Family(_sets, lambda ws, args: partial(average_metric, ws.metric)),
+    "g": Family(_sets, lambda ws, args: partial(group_average, ws.metric)),
+    "e": Family(_sets, lambda ws, args: partial(semi_metric, ws.metric)),
+    "h": Family(_sets, lambda ws, args: partial(hausdorff, ws.metric)),
+    "j": Family(_sets, lambda ws, args: jaccard),
+    "symdiff": Family(_sets, lambda ws, args: lambda a, b: float(symdiff_cardinality(a, b))),
+    "u": Family(_sets, lambda ws, args: partial(pointwise_mean_distance, ws.metric,
+                                                i=args.i, j=args.j, p=args.p, q=args.q)),
+    "v": Family(_sets, lambda ws, args: partial(sidewise_mean_distance, ws.metric, k=args.k,
+                                                i=args.i, j=args.j, r=args.r, p=args.p, q=args.q)),
+    "u00": Family(_sets, lambda ws, args: partial(
+        closed_form_pointwise_discrete, p=args.p, lam=_lam(ws, args))),
+    "v000": Family(_sets, lambda ws, args: partial(
+        closed_form_sidewise_discrete, p=args.p, lam=_lam(ws, args))),
+    "dnu": Family(_sets, lambda ws, args: partial(log_cardinality_distance, nu=args.nu)),
+    "fk": Family(_nested, lambda ws, args: partial(nested_average_metric, ws.metric, ws.registry)),
+    "interval": Family(_intervals, lambda ws, args: interval_metric_closed_form),
+    "steinhaus": Family(_unions, lambda ws, args: steinhaus),
+    "fuzzy": Family(_fuzzy_sets, lambda ws, args: partial(
+        fuzzy_distance, ws.metric, ws.registry,
+        alpha_grid=args.alpha_grid, alpha_weight=args.alpha_weight)),
 }
-
-
-def _finite_distance_fn(ws: Workspace, args):
-    """Closure (a, b) -> value for the chosen finite-set family."""
-    try:
-        distance = _FINITE_DISTANCES[args.family]
-    except KeyError:
-        raise ParameterError(f"family {args.family!r} is not a finite-set family") from None
-    m = ws.metric
-    lam = args.lam if args.lam is not None else _default_lam(ws)
-    return lambda a, b: distance(m, a, b, args, lam)
 
 
 def _operands(ws: Workspace, args, name_a: str, name_b: str) -> tuple:
     """The two named operands of the family, resolved and validated."""
-    family = args.family
-    if family in INTERVAL_FAMILIES:
-        ia, ib = _resolve_interval(ws, name_a), _resolve_interval(ws, name_b)
-        if family == "steinhaus":
-            return ia, ib
-        for name, union in ((name_a, ia), (name_b, ib)):
-            if len(union.parts) != 1:
-                raise ParameterError(
-                    f"family 'interval' needs single intervals; {name!r} has "
-                    f"{len(union.parts)} parts"
-                )
-        return ia.parts[0], ib.parts[0]
-    if family == "fuzzy":
-        try:
-            return ws.fuzzy[name_a], ws.fuzzy[name_b]
-        except KeyError as exc:
-            raise ParameterError(f"unknown fuzzy set name {exc.args[0]!r}") from None
-    if family == "fk":
-        na, nb = _nested_operand(ws, name_a), _nested_operand(ws, name_b)
-        if args.level is not None and na.level != args.level:
-            raise ParameterError(
-                f"operand {name_a!r} parses to level {na.level}, --level says {args.level}"
-            )
-        return na, nb
-    return _resolve_set(ws, name_a), _resolve_set(ws, name_b)
+    return FAMILIES[args.family].operands(ws, args, name_a, name_b)
 
 
 def _distance_fn(ws: Workspace, args):
     """Closure (a, b) -> value of the family, over operands from ``_operands``."""
-    family = args.family
-    if family == "steinhaus":
-        return steinhaus
-    if family == "interval":
-        return interval_metric_closed_form
-    if family == "fuzzy":
-        return lambda a, b: fuzzy_distance(
-            ws.metric, ws.registry, a, b,
-            alpha_grid=args.alpha_grid, alpha_weight=args.alpha_weight,
-        )
-    if family == "fk":
-        return lambda a, b: nested_average_metric(ws.metric, ws.registry, a, b)
-    return _finite_distance_fn(ws, args)
+    return FAMILIES[args.family].distance(ws, args)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +244,11 @@ def cmd_axioms(args) -> int:
     else:
         sampler = subset_triple_sampler(ws.registry, lo, hi)
 
+    if FAMILIES[args.family].operands is not _sets:
+        raise ParameterError(f"family {args.family!r} is not a finite-set family")
     axioms = PARTIAL_AXIOMS if args.partial else METRIC_AXIOMS
-    dist_fn = _finite_distance_fn(ws, args)
     report = check_axioms(
-        dist_fn, sampler, n=args.n, seed=args.seed,
+        _distance_fn(ws, args), sampler, n=args.n, seed=args.seed,
         tolerance=args.tolerance, axioms=axioms,
     )
 
@@ -290,17 +273,13 @@ def cmd_axioms(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    failed = 0
-    total = 0
+    total = failed = 0
     for name in names:
-        rows = run_suite(name, seed=args.seed)
-        for row in rows:
+        for row in run_suite(name, seed=args.seed):
             total += 1
-            status = "PASS" if row.passed else "FAIL"
-            if not row.passed:
-                failed += 1
+            failed += not row.passed
             print(
-                f"[{name}] {status} {row.name}: "
+                f"[{name}] {'PASS' if row.passed else 'FAIL'} {row.name}: "
                 f"max_dev={row.deviation:.3e} tol={row.tolerance:.0e}"
             )
     print(f"verify: {total - failed}/{total} checks passed")
@@ -312,34 +291,27 @@ def cmd_estimate(args) -> int:
     name_a, name_b = args.set_a, args.set_b
 
     if name_a in ws.intervals or name_b in ws.intervals:
-        a = _resolve_interval(ws, name_a)
-        b = _resolve_interval(ws, name_b)
+        a, b = _unions(ws, args, name_a, name_b)
         if not args.population:
             raise ParameterError("interval estimation needs --population")
-        population = _resolve_interval(ws, args.population)
+        population = _named(ws.intervals, "interval", args.population)
         uncovered = a.union(b).difference(population).measure
         if uncovered > 0.0:
             raise ParameterError(
                 f"population {args.population!r} does not cover the operands "
                 f"(uncovered measure {uncovered:g})"
             )
-        plan = SamplePlan(population, n=args.n, seed=args.seed, mode=args.mode)
-        result = estimate_average_metric(a, b, plan)
-        reference = interval_average_metric(a, b)
+        exact = interval_average_metric
     else:
-        a = _resolve_set(ws, name_a)
-        b = _resolve_set(ws, name_b)
-        if args.population:
-            population = _resolve_set(ws, args.population)
-        else:
-            population = ws.registry.universe()
+        a, b = _sets(ws, args, name_a, name_b)
+        population = (_named(ws.sets, "set", args.population) if args.population
+                      else ws.registry.universe())
         if not (a.ids | b.ids) <= population.ids:
-            raise ParameterError(
-                f"population {args.population!r} does not cover the operands"
-            )
-        plan = SamplePlan(population, n=args.n, seed=args.seed, mode=args.mode)
-        result = estimate_average_metric(a, b, plan, metric=ws.metric)
-        reference = average_metric(ws.metric, a, b)
+            raise ParameterError(f"population {args.population!r} does not cover the operands")
+        exact = partial(average_metric, ws.metric)
+    plan = SamplePlan(population, n=args.n, seed=args.seed, mode=args.mode)
+    result = estimate_average_metric(a, b, plan, metric=ws.metric)  # an interval plan ignores it
+    reference = exact(a, b)
 
     print(f"estimate {format_scalar(result.value)}")
     print(f"sample_a {result.size_a}")
@@ -356,7 +328,7 @@ def cmd_estimate(args) -> int:
 
 
 def _add_family_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", required=True, choices=ALL_FAMILIES)
+    sub.add_argument("--family", required=True, choices=FAMILIES)
     sub.add_argument("--p", type=_extended_real, default=1.0,
                      help="order of the outer mean ('inf', '-inf', '0' for limits)")
     sub.add_argument("--q", type=_extended_real, default=1.0,
@@ -372,8 +344,7 @@ def _add_family_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--nu", type=float, default=0.5, help="log-cardinality exponent")
     sub.add_argument("--level", type=int, default=None,
                      help="expected nesting level for family fk")
-    sub.add_argument("--alpha-grid", type=_alpha_grid,
-                     default=tuple((kk + 1) / 10 for kk in range(10)),
+    sub.add_argument("--alpha-grid", type=_alpha_grid, default=DEFAULT_ALPHA_GRID,
                      help="comma-separated alpha levels for family fuzzy")
     sub.add_argument("--alpha-weight", type=float, default=1.0,
                      help="weight of the |alpha - beta| term for family fuzzy")
@@ -405,11 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_axioms.add_argument("--random", action="store_true",
                           help="sample over a random plane pool instead of a workspace")
     _add_family_options(p_axioms)
-    p_axioms.add_argument("--n", type=int, default=1000)
+    p_axioms.add_argument("--n", type=int, default=1000,
+                          help=f"sampled triples, from 1 to {MAX_TRIPLES:,}")
     p_axioms.add_argument("--seed", type=int, default=0)
     p_axioms.add_argument("--tolerance", type=float, default=1e-9)
-    p_axioms.add_argument("--dim", type=int, default=2)
-    p_axioms.add_argument("--pool", type=int, default=12)
+    p_axioms.add_argument("--dim", type=int, default=2,
+                          help=f"point dimension; --pool x --dim at most {MAX_COORDINATES:,}")
+    p_axioms.add_argument("--pool", type=int, default=12, help="random pool size")
     p_axioms.add_argument("--sizes", default="1:8", help="set size range LO:HI")
     p_axioms.add_argument("--fixture", choices=["chained-overlap"],
                           help="structured sampler instead of independent subsets")

@@ -481,8 +481,8 @@ def fuzzy_distance(
     level-2 average-distance construction is applied to the two collections
     of pairs. Equal fuzzy sets give 0.
     """
-    if alpha_weight < 0:
-        raise ParameterError("alpha weight must be non-negative")
+    if not 0 <= alpha_weight < math.inf:  # NaN too
+        raise ParameterError(f"alpha weight must be finite and non-negative, got {alpha_weight}")
     levels = sorted(set(float(al) for al in alpha_grid))
     if not levels:
         raise ParameterError("alpha grid is empty")

@@ -91,8 +91,8 @@ class ElementRegistry:
             payload = tuple(float(v) for v in payload)
         elif isinstance(payload, (int, float)) and not isinstance(payload, bool):
             payload = (float(payload),)
-        if isinstance(payload, tuple) and any(map(math.isnan, payload)):
-            raise ParameterError(f"NaN coordinate in the payload of {eid!r}")
+        if isinstance(payload, tuple) and not all(map(math.isfinite, payload)):
+            raise ParameterError(f"non-finite coordinate in the payload of {eid!r}")
         element = Element(eid, payload)
         self._elements[eid] = element
         self._table = None
@@ -297,7 +297,12 @@ class LpMetric(BaseMetric):
 
     def distance(self, x: Element, y: Element) -> float:
         px, py = _vector_pair(x, y)
-        return sum(abs(a - b) ** self.p for a, b in zip(px, py)) ** (1.0 / self.p)
+        diffs = [abs(a - b) for a, b in zip(px, py)]
+        try:
+            return sum(d ** self.p for d in diffs) ** (1.0 / self.p)
+        except OverflowError:  # a finite power overflows: factor out the largest difference
+            top = max(diffs)
+            return top * sum((d / top) ** self.p for d in diffs) ** (1.0 / self.p)
 
 
 class MatrixMetric(BaseMetric):
@@ -305,8 +310,8 @@ class MatrixMetric(BaseMetric):
 
     A table flagged ``pseudo`` may contain off-diagonal zeros (distinct ids
     at distance zero); finite cells, non-negativity, zero diagonal, symmetry
-    and the triangle inequality are enforced either way. Symmetry is checked
-    within ``tolerance``; ``symmetric`` records whether it holds exactly.
+    and the triangle inequality are enforced either way, within 1e-12;
+    ``symmetric`` records whether symmetry holds exactly.
     """
 
     def __init__(
@@ -314,9 +319,9 @@ class MatrixMetric(BaseMetric):
         ids: Sequence[ElementId],
         values: Sequence[Sequence[float]],
         pseudo: bool = False,
-        tolerance: float = 1e-12,
     ):
         import numpy as np
+        tolerance = 1e-12
         ids = tuple(ids)
         if len(set(ids)) != len(ids):
             raise ParameterError("matrix metric ids must be unique")

@@ -112,12 +112,12 @@ def nested_average_metric(
     return distance(a, b)
 
 
-def containing_collection(eid: ElementId, x: FiniteSet, max_size: int = 20) -> NestedSet:
+def containing_collection(eid: ElementId, x: FiniteSet) -> NestedSet:
     """The level-2 collection of all non-empty subsets of ``x`` containing
-    ``eid``; its cardinality is 2^(|x|-1)."""
+    ``eid``; its cardinality is 2^(|x|-1), so ``x`` has at most 20 members."""
     if eid not in x:
         raise DomainError(f"{eid!r} is not a member of the ground set")
-    if len(x) > max_size:
+    if len(x) > 20:
         raise ParameterError(
             f"ground set of {len(x)} elements would enumerate 2^{len(x) - 1} subsets"
         )
@@ -141,14 +141,14 @@ def _subsets_containing(eid: ElementId, members: Iterable[ElementId]) -> Iterato
 
 
 def duality_ratio(
-    x: FiniteSet, lam: float = 1.0, *, ratio_tolerance: float = 1e-9
+    x: FiniteSet, lam: float = 1.0
 ) -> tuple[float, tuple[tuple[ElementId, ElementId, float], ...]]:
     """Ratio between the level-2 distance of containing collections and the
     ground distance, under a discrete ground distance of scale ``lam``.
 
     Computes the level-2 distance for every pair of distinct ground
-    elements, checks the ratio is the same for all pairs and lies in (0, 1),
-    and returns ``(ratio, table)`` where the table rows are
+    elements, checks the ratio is the same for all pairs (within 1e-9) and
+    lies in (0, 1), and returns ``(ratio, table)`` where the table rows are
     ``(id_a, id_b, level2_distance)`` in sorted pair order.
     """
     import numpy as np
@@ -183,7 +183,7 @@ def duality_ratio(
         table.append((ia, ib, d2))
         ratios.append(d2 / lam)
     spread = max(ratios) - min(ratios)
-    if spread > ratio_tolerance:
+    if spread > 1e-9:
         raise DomainError(
             f"collection-distance ratio is not constant across pairs "
             f"(spread {spread:.3e})"

@@ -48,6 +48,7 @@ if TYPE_CHECKING:
 
 _INF = float("inf")
 _TINY = sys.float_info.min  # smallest positive normal float
+_LOG_MAX = math.log(sys.float_info.max)  # the largest y whose e^y is finite
 
 
 def _validated(
@@ -66,14 +67,9 @@ def _validated(
             raise ParameterError(
                 f"length mismatch: {len(vals)} values, {len(wts)} weights"
             )
-    # NaN fails every comparison, so the non-negativity tests also catch it
-    if nonneg_values:
-        bad_values = not all(v >= 0 for v in vals)
-    else:
-        bad_values = any(map(math.isnan, vals))
-    if bad_values:
-        if any(map(math.isnan, vals)):
-            raise ParameterError("mean of a NaN value")
+    if any(map(math.isnan, vals)):
+        raise ParameterError("mean of a NaN value")
+    if nonneg_values and not all(v >= 0 for v in vals):
         raise ParameterError("power mean expects non-negative values")
     if not all(w >= 0 for w in wts):
         if any(map(math.isnan, wts)):
@@ -104,23 +100,36 @@ def power_mean(values: Sequence[float], weights: Sequence[float] | None = None, 
     if p == 1:
         return math.fsum(w * v for v, w in active) / wsum
     if p != 0:
-        # Factor out the extreme value so the powered ratios stay in (0, 1],
-        # and accumulate (v/m)^p - 1 via expm1 so orders arbitrarily close to
-        # 0 degrade gracefully into the geometric-mean limit instead of
-        # rounding the whole sum to 1.
+        # Factor out the extreme value so the powered ratios stay in (0, 1].
         m = max(v for v, _ in active) if p > 0 else min(v for v, _ in active)
         if m == 0.0:
             return 0.0
-        logs = [_log_ratio(v, m) for v, _ in active]
-        spread = max(map(abs, logs))
-        # Once |p| * spread is below the smallest normal float, p * log(v/m)
-        # keeps too few bits to be divided by p again, and the order moves
-        # the mean by far less than one rounding unit: the order-0 limit is
-        # returned instead. Equal values need no cutoff; every term is 0.
-        if not (spread > 0.0 and spread * abs(p) < _TINY):
-            delta = math.fsum(w * math.expm1(p * x) for x, (_, w) in zip(logs, active))
-            return m * math.exp(math.log1p(delta / wsum) / p)
+        y = _log_scale([_log_ratio(v, m) for v, _ in active], active, wsum, p)
+        if y is not None and y <= _LOG_MAX:
+            return m * math.exp(y)
+        if y is not None:
+            # e^y overflows only where a ratio v/m does, read by _log_ratio as
+            # log inf: take logs of differences and scale in the log domain
+            y = _log_scale([math.log(v) - math.log(m) for v, _ in active], active, wsum, p)
+            if y is not None:
+                return math.exp(math.log(m) + y)
     return math.exp(math.fsum(w * math.log(v) for v, w in active) / wsum)
+
+
+def _log_scale(logs: list[float], active: list, wsum: float, p: float) -> float | None:
+    """log(M / m) for the power mean M of order ``p`` of the values m e^x, x in
+    ``logs``, weighted as ``active``; None where the order-0 limit applies."""
+    spread = max(map(abs, logs))
+    # Once |p| * spread is below the smallest normal float, p * log(v/m)
+    # keeps too few bits to be divided by p again, and the order moves the
+    # mean by far less than one rounding unit: the order-0 limit is returned
+    # instead. Equal values need no cutoff; every term is 0.
+    if spread > 0.0 and spread * abs(p) < _TINY:
+        return None
+    # (v/m)^p - 1 via expm1: orders arbitrarily close to 0 degrade gracefully
+    # into the geometric-mean limit instead of rounding the whole sum to 1
+    delta = math.fsum(w * math.expm1(p * x) for x, (_, w) in zip(logs, active))
+    return math.log1p(delta / wsum) / p
 
 
 def _log_ratio(v: float, m: float) -> float:
@@ -154,6 +163,8 @@ def exp_mean(values: Sequence[float], weights: Sequence[float] | None = None, p:
     # Shift by the largest exponent and accumulate e^(p v - shift) - 1 via
     # expm1: immune to overflow for large p*v and to cancellation near p = 0.
     shift = max(p * v for v, _ in active)
+    if math.isinf(shift):  # p * v overflows: the mean is at its limit
+        return (max if p > 0 else min)(v for v, _ in active)
     delta = math.fsum(w * math.expm1(p * v - shift) for v, w in active)
     return (shift + math.log1p(delta / wsum)) / p
 
@@ -258,7 +269,7 @@ def _power_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
     x, m = rows[live], m[live, None]
     with np.errstate(divide="ignore", over="ignore"):
         if p == 0:
-            geometric = np.full(len(x), True)
+            y = np.full(len(x), np.nan)
         else:
             ratio = x / m
             logs = np.log(ratio)
@@ -266,15 +277,28 @@ def _power_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
             under = (ratio == 0.0) & (x > 0.0)
             if under.any():
                 logs[under] = (np.log(x) - np.log(m))[under]
-            spread = np.abs(logs).max(axis=1)
-            geometric = (spread > 0.0) & (spread * abs(p) < _TINY)
-        powered = ~geometric
-        if powered.any():
-            delta = _row_sums(np.expm1(p * logs[powered]))
-            means[live[powered]] = m[powered, 0] * np.exp(np.log1p(delta / n) / p)
+            y = _log_scale_rows(logs, p)
+            means[live] = m[:, 0] * np.exp(y)
+            # as in power_mean: where e^y overflows, a ratio did
+            over = np.flatnonzero(y > _LOG_MAX)
+            if over.size:
+                y[over] = _log_scale_rows(np.log(x[over]) - np.log(m[over]), p)
+                means[live[over]] = np.exp(np.log(m[over, 0]) + y[over])
+        geometric = np.isnan(y)
         if geometric.any():
             means[live[geometric]] = np.exp(_row_sums(np.log(x[geometric])) / n)
     return means
+
+
+def _log_scale_rows(logs: np.ndarray, p: float) -> np.ndarray:
+    """``_log_scale`` of each row under unit weights, NaN for None."""
+    import numpy as np
+    spread = np.abs(logs).max(axis=1)
+    powered = ~((spread > 0.0) & (spread * abs(p) < _TINY))
+    y = np.full(len(logs), np.nan)
+    if powered.any():
+        y[powered] = np.log1p(_row_sums(np.expm1(p * logs[powered])) / logs.shape[1]) / p
+    return y
 
 
 def _exp_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
@@ -291,12 +315,15 @@ def _exp_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
         arithmetic = (rows.max(axis=1) - rows.min(axis=1)) * abs(p) < _TINY
         if arithmetic.any():
             means[arithmetic] = _row_sums(rows[arithmetic]) / n
-        powered = ~arithmetic
-        if powered.any():
+        powered = np.flatnonzero(~arithmetic)
+        if powered.size:
             scaled = p * rows[powered]
             shift = scaled.max(axis=1)
             delta = _row_sums(np.expm1(scaled - shift[:, None]))
             means[powered] = (shift + np.log1p(delta / n)) / p
+            # as in exp_mean: where p * x overflows, the mean is at its limit
+            over = powered[np.isinf(shift)]
+            means[over] = rows[over].max(axis=1) if p > 0 else rows[over].min(axis=1)
     return means
 
 
@@ -365,6 +392,9 @@ def closed_form_pointwise_discrete(
         return 0.0
     if p == 0:
         return lam * sym / union
+    if p * lam == _INF:
+        # e^(-p lam) is 0, and lam is the limit at p = inf
+        return lam + (math.log(sym) - math.log(union)) / p
     # log(e^(p lam) sym + inter) computed shift-first so large p cannot overflow
     return (p * lam + math.log(sym + inter * math.exp(-p * lam)) - math.log(union)) / p
 

@@ -22,7 +22,6 @@ only registered ids; violations are reported at load time.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,11 +88,10 @@ def parse_workspace(doc: dict) -> Workspace:
             coords = registry.add(eid, payload).payload
         except (TypeError, ValueError) as exc:
             raise WorkspaceError(f"element {eid!r} has a malformed payload: {exc}") from exc
-        # the library accepts infinite and empty coordinate tuples; a
-        # workspace point needs at least one coordinate, all finite
-        if isinstance(coords, tuple) and not (coords and all(map(math.isfinite, coords))):
-            problem = "non-finite coordinate" if coords else "no coordinates"
-            raise WorkspaceError(f"element {eid!r} has a malformed payload: {problem}")
+        # the library accepts an empty coordinate tuple; a workspace point
+        # needs at least one coordinate
+        if coords == ():
+            raise WorkspaceError(f"element {eid!r} has a malformed payload: no coordinates")
 
     sets: dict[str, FiniteSet] = {}
     for name, ids in doc.get("sets", {}).items():

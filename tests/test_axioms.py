@@ -2,6 +2,7 @@
 
 import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -20,6 +21,7 @@ from setmetric import (
     subset_triple_sampler,
     triangle_surplus,
 )
+from setmetric import axioms
 
 
 @pytest.fixture
@@ -141,6 +143,21 @@ def test_invalid_arguments_rejected(plane_pool):
         check_axioms(fn, sampler, n=10, axioms=("M9",))
     with pytest.raises(ParameterError):
         check_axioms(fn, sampler, n=10, tolerance=-1.0)
+    with pytest.raises(ParameterError, match="got nan"):
+        check_axioms(fn, sampler, n=10, tolerance=float("nan"))
+
+
+def test_resource_limits_are_checked_before_any_work():
+    def untouched(*args):
+        raise AssertionError("called before the limit was checked")
+
+    with pytest.raises(ParameterError, match="at most 100,000 samples"):
+        check_axioms(untouched, untouched, n=axioms.MAX_TRIPLES + 1)
+    rng = mock.Mock(spec=random.Random, uniform=untouched)
+    with pytest.raises(ParameterError, match="coordinates exceed 100,000"):
+        random_point_registry(rng, size=10**12, dim=10**6)
+    with pytest.raises(ParameterError, match="coordinates exceed 100,000"):
+        random_point_registry(rng, size=axioms.MAX_COORDINATES // 2 + 1, dim=2)
 
 
 def test_partial_axioms_for_log_cardinality():

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setmetric import (
@@ -24,6 +24,7 @@ from setmetric import (
     EuclideanMetric,
     LpMetric,
     MatrixMetric,
+    ParameterError,
     average_metric,
     exp_mean,
     group_average,
@@ -192,15 +193,18 @@ ROW_VALUES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e30
 
 # 1e-300: small enough for p * log(ratio) to be tiny, large enough to keep
 # clear of the order-0 cutoff, so a ratio that underflows shows
+# -1e-10: near order 0, where a ratio that overflows once overflowed the mean
 @settings(max_examples=500, deadline=None)
 @given(rows=st.lists(st.lists(ROW_VALUES, min_size=4, max_size=4), min_size=1, max_size=6),
-       j=st.integers(0, 1), q=st.sampled_from(ORDERS + [1e-300]))
+       j=st.integers(0, 1), q=st.sampled_from(ORDERS + [1e-300, -1e-10]))
+@example(rows=[[5e-324, 1e300, 1.0, 3.0], [0.5, 1.0, 1.0, 3.0]], j=1, q=-1e-10)
+@example(rows=[[5e-324, 1e300, 1e300, 1e300]], j=1, q=-5e-324)
+@example(rows=[[1.0, 3.0, 0.5, 0.0], [1e300, 0.5, 1.0, 3.0]], j=0, q=1e300)
 def test_row_means_match_the_scalar_means(rows, j, q):
     row_means = power_means._power_mean_rows if j == 1 else power_means._exp_mean_rows
     for row, got in zip(rows, row_means(np.array(rows), q).tolist()):
-        ref = mean(j)(row, None, q)
-        # exp_mean overflows to nan where p * x does, in both forms
-        assert math.isclose(got, ref, rel_tol=MEAN_REL) or math.isnan(got) and math.isnan(ref)
+        # where p * x or a ratio overflows, both forms take the limit: no nan
+        assert math.isclose(got, mean(j)(row, None, q), rel_tol=MEAN_REL)
 
 
 def test_large_operands_take_the_block_and_small_ones_do_not():
@@ -254,11 +258,16 @@ def test_euclidean_block_is_within_a_few_ulps_of_distance(data, dim):
 
 @pytest.mark.parametrize("coordinate", [1e200, 1e-200, math.inf])
 def test_payloads_outside_the_range_stay_scalar(coordinate):
-    registry = ElementRegistry({i: (float(i), coordinate if i % 2 else 0.0) for i in range(40)})
+    points = {i: (float(i), coordinate if i % 2 else 0.0) for i in range(40)}
+    if coordinate == math.inf:
+        # ElementRegistry.add rejects it: its distances were inf - inf, nan
+        with pytest.raises(ParameterError, match="non-finite coordinate in the payload of 1"):
+            ElementRegistry(points)
+        return
+    registry = ElementRegistry(points)
     a = registry.universe()
     assert core._cross_rows(EuclideanMetric(), registry, a.members, a.members) is None
-    got, ref = pair_sum(EuclideanMetric(), a, a), ref_sum(EuclideanMetric(), registry, a, a)
-    assert got == ref or math.isnan(got) and math.isnan(ref)  # inf - inf is nan
+    assert pair_sum(EuclideanMetric(), a, a) == ref_sum(EuclideanMetric(), registry, a, a)
 
 
 def test_hausdorff_is_exact_where_the_block_is_not():

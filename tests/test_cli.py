@@ -106,12 +106,32 @@ class TestDist:
         result = run_cli("dist", "--workspace", ws, "--family", "interval", "I", "TWO")
         assert result.returncode == 2
 
+    def test_both_interval_names_are_resolved_before_the_part_check(self, ws):
+        result = run_cli("dist", "--workspace", ws, "--family", "interval", "TWO", "NOPE")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: unknown interval name 'NOPE'\n"
+
     def test_extended_real_literals(self, ws):
         # negative literals need the --opt=value form ('-inf' looks like a flag)
         result = run_cli("dist", "--workspace", ws, "--family", "u",
                          "--p", "inf", "--q=-inf", "A", "B")
         assert result.returncode == 0
         assert result.stdout == "1\n"  # hausdorff under the discrete metric
+
+
+# each of these printed nan and exited 0
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "u", "--p", "nan", "A", "B"], "argument --p: expected a number"),
+    (["--family", "u00", "--p", "nan", "A", "B"], "argument --p: expected a number"),
+    (["--family", "v", "--q", "nan", "A", "B"], "argument --q: expected a number"),
+    (["--family", "v", "--r", "NaN", "A", "B"], "argument --r: expected a number"),
+    (["--family", "fuzzy", "--alpha-weight", "nan", "FA", "FB"], "alpha weight must be finite"),
+    (["--family", "fuzzy", "--alpha-weight", "inf", "FA", "FB"], "alpha weight must be finite"),
+])
+def test_nan_and_infinite_parameters_exit_2(ws, argv, message):
+    result = run_cli("dist", "--workspace", ws, *argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert message in result.stderr and "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("doc, argv", [
@@ -160,6 +180,22 @@ def test_mean_composition_over_extreme_distances(tmp_path):
     assert result.returncode == 0
     assert "Traceback" not in result.stderr
     assert float(result.stdout) == pytest.approx((1e300 + 1e300 / 2**0.5 + 1e-300) / 3)
+
+
+def test_exponential_inner_mean_at_an_overflowing_order(tmp_path):
+    # q * d overflows for every distance: the inner means are at their limit,
+    # the maximum; this exited 2 with "mean of a NaN value"
+    doc = {
+        "metric": {"kind": "euclidean"},
+        "elements": {"x": [0.0], "a": [1e9], "b": [2e9]},
+        "sets": {"A": ["x"], "B": ["a", "b"]},
+    }
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("dist", "--workspace", str(path), "--family", "u", "--j", "0",
+                     "--q", "1e300", "A", "B")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert float(result.stdout) == pytest.approx((2e9 + 1e9 + 2e9) / 3)
 
 
 class TestMatrix:
@@ -226,6 +262,17 @@ class TestAxioms:
         result = run_cli("axioms", "--random", "--family", "f", "--n", "20", *flags)
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--tolerance", "nan"], "tolerance must be non-negative, got nan"),  # passed any distance
+        (["--n", "100001"], "at most 100,000 samples, got n=100001"),
+        (["--pool", "100001", "--dim", "1"], "100001 points x 1 coordinates exceed 100,000"),
+        (["--pool", "12", "--dim", "8334"], "12 points x 8334 coordinates exceed 100,000"),
+    ])
+    def test_nan_tolerance_and_resource_limits_exit_2(self, flags, message):
+        result = run_cli("axioms", "--random", "--family", "f", *flags)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: {message}\n"
 
     def test_sizes_above_the_pool_are_clamped(self):
         result = run_cli("axioms", "--random", "--family", "f", "--n", "20",

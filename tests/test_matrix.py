@@ -81,15 +81,14 @@ def invocations(draw, directory):
     doc = {"metric": config, "elements": elements, "sets": sets,
            "intervals": intervals, "fuzzy": fuzzy}
 
-    family = draw(st.sampled_from(cli.ALL_FAMILIES))
-    if family in cli.INTERVAL_FAMILIES:
-        pool = list(intervals)
-    elif family == "fuzzy":
-        pool = list(fuzzy)
-    elif family == "fk":
-        pool = ["S0", "S1", "S0,S1", "S1,S2", "S0,S2,S3", "S3"]
-    else:
-        pool = list(sets)
+    family = draw(st.sampled_from(list(cli.FAMILIES)))
+    pool = {
+        cli._sets: list(sets),
+        cli._nested: ["S0", "S1", "S0,S1", "S1,S2", "S0,S2,S3", "S3"],
+        cli._intervals: list(intervals),
+        cli._unions: list(intervals),
+        cli._fuzzy_sets: list(fuzzy),
+    }[cli.FAMILIES[family].operands]
     names = draw(st.lists(st.sampled_from(pool + ["NOPE"]), min_size=2, max_size=4))
     flags = []
     for flag in ("--p", "--q", "--r"):

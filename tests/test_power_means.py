@@ -72,6 +72,18 @@ class TestPowerMean:
         # 1e-300 / 1e300 underflows to 0, whose log is undefined
         assert power_mean([1e300, 1e-300], None, p) == pytest.approx(expected)
 
+    # 1e300 / 5e-324 overflows: at -1e-10 the mean raised OverflowError, at
+    # -5e-324 it was inf; both lie next to the geometric mean
+    def test_ratio_overflow_near_order_zero(self):
+        values, p = [5e-324, 1e300], -1e-10
+        geometric = power_mean(values, None, 0.0)
+        assert geometric == pytest.approx(math.sqrt(5e-324) * 1e150)
+        # two values at equal weight: M_p = G exp(p s^2 / 2 + O(p^3 s^4)), s
+        # half the spread of their logs
+        s = (math.log(1e300) - math.log(5e-324)) / 2
+        assert power_mean(values, None, p) == pytest.approx(geometric * math.exp(p * s * s / 2))
+        assert power_mean(values, None, -5e-324) == geometric
+
     def test_errors(self):
         with pytest.raises(ParameterError):
             power_mean([], None, 1.0)
@@ -127,6 +139,16 @@ class TestExpMean:
             exp_mean([1.0, math.nan], None, 2.0)
         with pytest.raises(ParameterError, match="NaN weight"):
             exp_mean([1.0, 2.0], [1.0, math.nan], 2.0)
+
+    @pytest.mark.parametrize("values, weights, p, limit", [
+        ([1.0, 2.0], None, 1e308, 2.0),
+        ([-1.0, -2.0], None, -1e308, -2.0),
+        ([-2.0, -3.0], None, 1e308, -2.0),  # every p * x overflows to -inf
+        ([1.0, 2.0, 5.0], [1.0, 1.0, 0.0], 1e308, 2.0),  # a zero weight drops 5.0
+    ])
+    def test_overflowing_exponent_gives_the_limit(self, values, weights, p, limit):
+        # p * x overflows: the mean was nan
+        assert exp_mean(values, weights, p) == limit
 
     @pytest.mark.parametrize("p", [5e-324, -5e-324])
     def test_subnormal_order_stays_within_range(self, p):
@@ -265,6 +287,12 @@ class TestDiscreteClosedForms:
         value = closed_form_pointwise_discrete(a, b, 1000.0, 1.0)
         assert math.isfinite(value)
         assert value == pytest.approx(1.0, abs=1e-2)  # approaches lam as p grows
+
+    @pytest.mark.parametrize("p, lam", [(INF, 1.0), (INF, 0.25), (1e300, 1e300)])
+    def test_overflowing_order_times_scale_gives_the_limit(self, line_registry, p, lam):
+        # p * lam overflows: this was inf / inf, nan, at p = inf and inf at p = 1e300
+        a, b = line_registry.set_of([1, 2]), line_registry.set_of([2, 3])
+        assert closed_form_pointwise_discrete(a, b, p, lam) == pytest.approx(lam)
 
 
 class TestLogCardinalityDistance:
