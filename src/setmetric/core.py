@@ -245,16 +245,21 @@ def _vector_pair(x: Element, y: Element) -> tuple[tuple[float, ...], tuple[float
     return px, py
 
 
+def _require_scale(lam: float) -> None:
+    """A discrete scale is a finite positive distance."""
+    if not 0 < lam < math.inf:
+        raise ParameterError(f"discrete scale must be finite and positive, got {lam}")
+
+
 @dataclass(frozen=True)
 class DiscreteMetric(BaseMetric):
-    """d(x,y) = 0 when the ids coincide, else a fixed positive scale."""
+    """d(x,y) = 0 when the ids coincide, else a fixed finite positive scale."""
 
     lam: float = 1.0
     symmetric = True
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ParameterError(f"discrete scale must be positive, got {self.lam}")
+        _require_scale(self.lam)
 
     def distance(self, x: Element, y: Element) -> float:
         return 0.0 if x.id == y.id else self.lam
@@ -299,10 +304,14 @@ class LpMetric(BaseMetric):
         px, py = _vector_pair(x, y)
         diffs = [abs(a - b) for a, b in zip(px, py)]
         try:
-            return sum(d ** self.p for d in diffs) ** (1.0 / self.p)
-        except OverflowError:  # a finite power overflows: factor out the largest difference
-            top = max(diffs)
+            total = sum(d ** self.p for d in diffs)
+        except OverflowError:
+            total = math.inf
+        top = max(diffs, default=0.0)
+        if total in (0.0, math.inf) and 0.0 < top < math.inf:
+            # the powers underflow or overflow: factor out the largest difference
             return top * sum((d / top) ** self.p for d in diffs) ** (1.0 / self.p)
+        return total ** (1.0 / self.p)
 
 
 class MatrixMetric(BaseMetric):

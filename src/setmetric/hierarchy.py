@@ -29,6 +29,7 @@ from .core import (
     FiniteSet,
     _fsum_cross,
     _id_sort_key,
+    _require_scale,
     _row_chunks,
     _set_average,
     average_metric,
@@ -156,8 +157,7 @@ def duality_ratio(
         raise ParameterError(
             f"duality experiment needs a ground set of 2..12 elements, got {len(x)}"
         )
-    if not lam > 0:
-        raise ParameterError(f"discrete scale must be positive, got {lam}")
+    _require_scale(lam)
     members = x.members
     # a subset of X is the bitmask of its members' positions in ``members``
     bit = {eid: 1 << k for k, eid in enumerate(members)}

@@ -7,8 +7,10 @@ analytic limit, +inf, -inf):
 * ``exp_mean``    (1/p) ln(sum w e^(p x) / sum w); p=0 arithmetic
 
 Limit orders are dispatched to closed-form branches rather than evaluated
-numerically near the limit, and both means use max-factored/max-shifted
-accumulation so large ``p * x`` cannot overflow.
+numerically near the limit. Both means are one algebra, the exponential mean
+of v being the log of the power mean of e^v, and one kernel, ``_log_scale``,
+accumulates both in the log domain relative to the factored extreme value,
+so large ``p * x`` cannot overflow.
 
 Composing means over a pair of finite sets yields a two-parameter family
 that specializes to the average-distance metric (both orders at their
@@ -40,6 +42,7 @@ from .core import (
     _cross_rows,
     _require_nonempty,
     _require_same_registry,
+    _require_scale,
 )
 from .errors import ParameterError
 
@@ -49,6 +52,7 @@ if TYPE_CHECKING:
 _INF = float("inf")
 _TINY = sys.float_info.min  # smallest positive normal float
 _LOG_MAX = math.log(sys.float_info.max)  # the largest y whose e^y is finite
+_LOG_TINY = math.log(_TINY)  # the smallest y whose e^y is a normal float
 
 
 def _validated(
@@ -99,37 +103,15 @@ def power_mean(values: Sequence[float], weights: Sequence[float] | None = None, 
         return 0.0
     if p == 1:
         return math.fsum(w * v for v, w in active) / wsum
-    if p != 0:
-        # Factor out the extreme value so the powered ratios stay in (0, 1].
-        m = max(v for v, _ in active) if p > 0 else min(v for v, _ in active)
-        if m == 0.0:
-            return 0.0
-        y = _log_scale([_log_ratio(v, m) for v, _ in active], active, wsum, p)
-        if y is not None and y <= _LOG_MAX:
-            return m * math.exp(y)
-        if y is not None:
-            # e^y overflows only where a ratio v/m does, read by _log_ratio as
-            # log inf: take logs of differences and scale in the log domain
-            y = _log_scale([math.log(v) - math.log(m) for v, _ in active], active, wsum, p)
-            if y is not None:
-                return math.exp(math.log(m) + y)
-    return math.exp(math.fsum(w * math.log(v) for v, w in active) / wsum)
-
-
-def _log_scale(logs: list[float], active: list, wsum: float, p: float) -> float | None:
-    """log(M / m) for the power mean M of order ``p`` of the values m e^x, x in
-    ``logs``, weighted as ``active``; None where the order-0 limit applies."""
-    spread = max(map(abs, logs))
-    # Once |p| * spread is below the smallest normal float, p * log(v/m)
-    # keeps too few bits to be divided by p again, and the order moves the
-    # mean by far less than one rounding unit: the order-0 limit is returned
-    # instead. Equal values need no cutoff; every term is 0.
-    if spread > 0.0 and spread * abs(p) < _TINY:
-        return None
-    # (v/m)^p - 1 via expm1: orders arbitrarily close to 0 degrade gracefully
-    # into the geometric-mean limit instead of rounding the whole sum to 1
-    delta = math.fsum(w * math.expm1(p * x) for x, (_, w) in zip(logs, active))
-    return math.log1p(delta / wsum) / p
+    # Factor out the extreme value so the powered ratios stay in (0, 1].
+    m = max(active)[0] if p > 0 else min(active)[0]
+    if m == 0.0:
+        return 0.0
+    y = _log_scale([_log_ratio(v, m) for v, _ in active], active, wsum, p)
+    if y is None:
+        return math.exp(math.fsum(w * math.log(v) for v, w in active) / wsum)
+    # e^y is not a normal float where the mean is far from m: scale in the log domain
+    return m * math.exp(y) if _LOG_TINY <= y <= _LOG_MAX else math.exp(math.log(m) + y)
 
 
 def _log_ratio(v: float, m: float) -> float:
@@ -137,15 +119,16 @@ def _log_ratio(v: float, m: float) -> float:
     if not v:
         return -_INF
     ratio = v / m
-    # a positive v far below m underflows the ratio to 0
-    return math.log(ratio) if ratio else math.log(v) - math.log(m)
+    # a positive v far below or above m makes the ratio subnormal, 0 or inf
+    return math.log(ratio) if _TINY <= ratio < _INF else math.log(v) - math.log(m)
 
 
 def exp_mean(values: Sequence[float], weights: Sequence[float] | None = None, p: float = 1.0) -> float:
     """Exponential-transform mean (1/p) ln(sum w e^(p x) / sum w).
 
     p = 0 is the arithmetic-mean limit; p = +inf / -inf give max / min over
-    all listed values. Computed with max-shifted exponentials.
+    all listed values. It is m + log(M / m) for the power mean M of the e^v
+    and their factored extreme e^m, so p * v never overflows.
     """
     vals, wts = _validated(values, weights, nonneg_values=False)
     if p == _INF:
@@ -154,27 +137,118 @@ def exp_mean(values: Sequence[float], weights: Sequence[float] | None = None, p:
         return min(vals)
     active = [(v, w) for v, w in zip(vals, wts) if w > 0.0]
     wsum = math.fsum(w for _, w in active)
-    # As in power_mean: once |p| * spread is below the smallest normal float,
-    # p * v keeps too few bits to be divided by p again, and the order-0
-    # limit is correct to within rounding.
-    spread = max(active)[0] - min(active)[0]
-    if p == 0 or spread * abs(p) < _TINY:
+    top, bottom = max(active)[0], min(active)[0]
+    if math.isinf(top - bottom):
+        # v - m overflows: halve the values, by exp_mean(v; p) = 2 exp_mean(v/2; 2p)
+        return 2.0 * exp_mean([v / 2.0 for v, _ in active], [w for _, w in active], 2.0 * p)
+    m = top if p > 0 else bottom
+    y = _log_scale([v - m for v, _ in active], active, wsum, p)
+    if y is None:
         return math.fsum(w * v for v, w in active) / wsum
-    # Shift by the largest exponent and accumulate e^(p v - shift) - 1 via
-    # expm1: immune to overflow for large p*v and to cancellation near p = 0.
-    shift = max(p * v for v, _ in active)
-    if math.isinf(shift):  # p * v overflows: the mean is at its limit
-        return (max if p > 0 else min)(v for v, _ in active)
-    delta = math.fsum(w * math.expm1(p * v - shift) for v, w in active)
-    return (shift + math.log1p(delta / wsum)) / p
+    return m + y
 
 
-def _mean_fn(kind: int):
-    if kind == 1:
-        return power_mean
-    if kind == 0:
-        return exp_mean
-    raise ParameterError(f"mean kind must be 0 or 1, got {kind}")
+def _log_scale(logs: list[float], active: list, wsum: float, p: float) -> float | None:
+    """log(M / m) for the power mean M of order ``p`` of the values m e^x, x in
+    ``logs``, weighted as ``active``; None where the order-0 limit applies.
+    ``power_mean`` is m e^y over the logs of v/m, ``exp_mean`` m + y over v - m."""
+    if p == 0:
+        return None
+    spread = max(map(abs, logs))
+    # Once |p| * spread is below the smallest normal float, p * x keeps too few
+    # bits to be divided by p again, and the order-0 limit is within rounding.
+    # Equal values need no cutoff; every term is 0.
+    if spread > 0.0 and spread * abs(p) < _TINY:
+        return None
+    # expm1 keeps orders next to 0 from rounding the sum to 1; p * x <= 0, as
+    # m is the max for p > 0 and the min for p < 0
+    delta = math.fsum(w * math.expm1(p * x) for x, (_, w) in zip(logs, active))
+    return math.log1p(delta / wsum) / p
+
+
+# The means of each row of a chunk of the cross-distance block, whose values
+# are finite and non-negative under unit weights: the scalar means on 2-d
+# arrays, with the same kernel and infinities, which pass without warnings.
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """One ``math.fsum`` per row: correctly rounded, so a mean does not
+    depend on the order of the ids, as numpy's row sums would."""
+    import numpy as np
+    return np.array([math.fsum(row) for row in rows.tolist()])
+
+
+def _power_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
+    """``power_mean(row, None, p)`` for each row of ``rows``."""
+    import numpy as np
+    if p == _INF:
+        return rows.max(axis=1)
+    if p == -_INF:
+        return rows.min(axis=1)
+    n = rows.shape[1]
+    if p == 1:
+        return _row_sums(rows) / n
+    # m is the extreme value factored out; where it is 0, so is the mean: a
+    # zero value for p <= 0, a row of zeros for p > 0
+    m = rows.max(axis=1) if p > 0 else rows.min(axis=1)
+    means = np.zeros(len(rows))
+    live = np.flatnonzero(m)
+    x, m = rows[live], m[live, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = x / m
+        logs = np.log(ratio)
+        # as in _log_ratio: a positive value's ratio is subnormal, 0 or inf
+        odd = (x > 0.0) & ((ratio < _TINY) | (ratio == _INF))
+        if odd.any():
+            logs[odd] = (np.log(x) - np.log(m))[odd]
+        y = _log_scale_rows(logs, p)
+        # as in power_mean: where e^y is not a normal float, scale in the log domain
+        normal = (_LOG_TINY <= y) & (y <= _LOG_MAX)
+        means[live] = np.where(normal, m[:, 0] * np.exp(y), np.exp(np.log(m[:, 0]) + y))
+    geometric = np.isnan(y)
+    if geometric.any():
+        means[live[geometric]] = np.exp(_row_sums(np.log(x[geometric])) / n)
+    return means
+
+
+def _exp_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
+    """``exp_mean(row, None, p)`` for each row of ``rows``. The values are
+    non-negative, so v - m cannot overflow."""
+    import numpy as np
+    if p == _INF:
+        return rows.max(axis=1)
+    if p == -_INF:
+        return rows.min(axis=1)
+    m = rows.max(axis=1) if p > 0 else rows.min(axis=1)
+    y = _log_scale_rows(rows - m[:, None], p)
+    means = m + y
+    arithmetic = np.isnan(y)
+    if arithmetic.any():
+        means[arithmetic] = _row_sums(rows[arithmetic]) / rows.shape[1]
+    return means
+
+
+def _log_scale_rows(logs: np.ndarray, p: float) -> np.ndarray:
+    """``_log_scale`` of each row under unit weights, NaN for None."""
+    import numpy as np
+    y = np.full(len(logs), np.nan)
+    if p == 0:
+        return y
+    with np.errstate(over="ignore"):
+        spread = np.abs(logs).max(axis=1)
+        powered = ~((spread > 0.0) & (spread * abs(p) < _TINY))
+        y[powered] = np.log1p(_row_sums(np.expm1(p * logs[powered])) / logs.shape[1]) / p
+    return y
+
+
+# mean kind -> the scalar mean and its row-wise twin
+_MEANS = {1: (power_mean, _power_mean_rows), 0: (exp_mean, _exp_mean_rows)}
+
+
+def _means(kind: int):
+    if kind not in (0, 1):
+        raise ParameterError(f"mean kind must be 0 or 1, got {kind}")
+    return _MEANS[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +276,7 @@ def pointwise_mean_distance(
     """
     _require_same_registry("pointwise_mean_distance", a, b)
     _require_nonempty("pointwise_mean_distance", a, b)
-    outer = _mean_fn(i)
+    outer = _means(i)[0]
     into_a = _means_into(m, a, b, j, q)
     into_b = _means_into(m, b, a, j, q)
     values = [
@@ -220,12 +294,11 @@ def _means_into(m: BaseMetric, side: FiniteSet, other: FiniteSet, j: int, q: flo
     time; otherwise one row per call, so rows and their errors come in the
     caller's order.
     """
-    inner = _mean_fn(j)
+    inner, row_means = _means(j)
     registry, inside = side.registry, side.ids
     outside = [eid for eid in other.members if eid not in inside]
     rows = _cross_rows(m, registry, outside, side.members)
     if rows is not None:
-        row_means = _power_mean_rows if j == 1 else _exp_mean_rows
         means = itertools.chain.from_iterable(row_means(chunk, q).tolist() for chunk in rows)
         return dict(zip(outside, means)).__getitem__
     targets = side.elements()
@@ -235,96 +308,6 @@ def _means_into(m: BaseMetric, side: FiniteSet, other: FiniteSet, j: int, q: flo
         return inner([m.distance(x, y) for y in targets], None, q)
 
     return mean_into
-
-
-# The means of each row of a chunk of the cross-distance block. Its values are
-# finite and non-negative under unit weights, so nothing is validated. The
-# algebra is that of ``power_mean`` and ``exp_mean``, the reference for these
-# functions, with the same infinities (log 0, overflowing p * x), which pass
-# without warnings.
-
-
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """One ``math.fsum`` per row: correctly rounded, so a mean does not
-    depend on the order of the ids, as numpy's row sums would."""
-    import numpy as np
-    return np.array([math.fsum(row) for row in rows.tolist()])
-
-
-def _power_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
-    """``power_mean(row, None, p)`` for each row of ``rows``."""
-    import numpy as np
-    if p == _INF:
-        return rows.max(axis=1)
-    if p == -_INF:
-        return rows.min(axis=1)
-    n = rows.shape[1]
-    if p == 1:
-        return _row_sums(rows) / n
-    # m is the extreme value factored out; where it is 0, so is the mean: a
-    # zero value for p <= 0, a row of zeros for p > 0
-    m = rows.max(axis=1) if p > 0 else rows.min(axis=1)
-    means = np.zeros(len(rows))
-    live = np.flatnonzero(m)
-    x, m = rows[live], m[live, None]
-    with np.errstate(divide="ignore", over="ignore"):
-        if p == 0:
-            y = np.full(len(x), np.nan)
-        else:
-            ratio = x / m
-            logs = np.log(ratio)
-            # as in _log_ratio: a positive value far below m underflows the ratio
-            under = (ratio == 0.0) & (x > 0.0)
-            if under.any():
-                logs[under] = (np.log(x) - np.log(m))[under]
-            y = _log_scale_rows(logs, p)
-            means[live] = m[:, 0] * np.exp(y)
-            # as in power_mean: where e^y overflows, a ratio did
-            over = np.flatnonzero(y > _LOG_MAX)
-            if over.size:
-                y[over] = _log_scale_rows(np.log(x[over]) - np.log(m[over]), p)
-                means[live[over]] = np.exp(np.log(m[over, 0]) + y[over])
-        geometric = np.isnan(y)
-        if geometric.any():
-            means[live[geometric]] = np.exp(_row_sums(np.log(x[geometric])) / n)
-    return means
-
-
-def _log_scale_rows(logs: np.ndarray, p: float) -> np.ndarray:
-    """``_log_scale`` of each row under unit weights, NaN for None."""
-    import numpy as np
-    spread = np.abs(logs).max(axis=1)
-    powered = ~((spread > 0.0) & (spread * abs(p) < _TINY))
-    y = np.full(len(logs), np.nan)
-    if powered.any():
-        y[powered] = np.log1p(_row_sums(np.expm1(p * logs[powered])) / logs.shape[1]) / p
-    return y
-
-
-def _exp_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
-    """``exp_mean(row, None, p)`` for each row of ``rows``."""
-    import numpy as np
-    if p == _INF:
-        return rows.max(axis=1)
-    if p == -_INF:
-        return rows.min(axis=1)
-    n = rows.shape[1]
-    means = np.empty(len(rows))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the spread is finite, so p = 0 takes the arithmetic mean here too
-        arithmetic = (rows.max(axis=1) - rows.min(axis=1)) * abs(p) < _TINY
-        if arithmetic.any():
-            means[arithmetic] = _row_sums(rows[arithmetic]) / n
-        powered = np.flatnonzero(~arithmetic)
-        if powered.size:
-            scaled = p * rows[powered]
-            shift = scaled.max(axis=1)
-            delta = _row_sums(np.expm1(scaled - shift[:, None]))
-            means[powered] = (shift + np.log1p(delta / n)) / p
-            # as in exp_mean: where p * x overflows, the mean is at its limit
-            over = powered[np.isinf(shift)]
-            means[over] = rows[over].max(axis=1) if p > 0 else rows[over].min(axis=1)
-    return means
 
 
 def sidewise_mean_distance(
@@ -347,8 +330,7 @@ def sidewise_mean_distance(
     """
     _require_same_registry("sidewise_mean_distance", a, b)
     _require_nonempty("sidewise_mean_distance", a, b)
-    middle = _mean_fn(i)
-    outer = _mean_fn(k)
+    middle, outer = _means(i)[0], _means(k)[0]
     union_ids = a.union(b).members
 
     def branch(side: FiniteSet, other: FiniteSet) -> float:
@@ -378,8 +360,7 @@ def closed_form_pointwise_discrete(
     """
     _require_same_registry("closed_form_pointwise_discrete", a, b)
     _require_nonempty("closed_form_pointwise_discrete", a, b)
-    if not lam > 0:
-        raise ParameterError(f"discrete scale must be positive, got {lam}")
+    _require_scale(lam)
     if p < 0:
         raise ParameterError(
             "closed form is stated for p >= 0; use pointwise_mean_distance "
@@ -414,8 +395,7 @@ def closed_form_sidewise_discrete(
     """
     _require_same_registry("closed_form_sidewise_discrete", a, b)
     _require_nonempty("closed_form_sidewise_discrete", a, b)
-    if not lam > 0:
-        raise ParameterError(f"discrete scale must be positive, got {lam}")
+    _require_scale(lam)
     if p > 0:
         raise ParameterError(
             "closed form is stated for p <= 0; use sidewise_mean_distance "

@@ -127,6 +127,10 @@ class TestDist:
     (["--family", "v", "--r", "NaN", "A", "B"], "argument --r: expected a number"),
     (["--family", "fuzzy", "--alpha-weight", "nan", "FA", "FB"], "alpha weight must be finite"),
     (["--family", "fuzzy", "--alpha-weight", "inf", "FA", "FB"], "alpha weight must be finite"),
+    # an infinite discrete scale printed inf and 0.405465108108
+    (["--family", "u00", "--lam", "inf", "A", "B"], "discrete scale must be finite and positive"),
+    (["--family", "v000", "--p=-1", "--lam", "inf", "A", "B"],
+     "discrete scale must be finite and positive"),
 ])
 def test_nan_and_infinite_parameters_exit_2(ws, argv, message):
     result = run_cli("dist", "--workspace", ws, *argv)
@@ -164,6 +168,24 @@ def test_malformed_workspace_exits_2(tmp_path, doc, argv):
     assert result.returncode == 2
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+# f printed inf, and u exited 2 with the misleading "mean of a NaN value"
+@pytest.mark.parametrize("argv", [
+    ["--family", "f", "A", "B"],
+    ["--family", "u", "--p", "2", "--q=-1", "A", "B"],
+])
+def test_infinite_discrete_scale_exits_2(tmp_path, argv):
+    doc = {
+        "metric": {"kind": "discrete", "lambda": math.inf},
+        "elements": {"a": None, "b": None, "c": None},
+        "sets": {"A": ["a", "b"], "B": ["b", "c"]},
+    }
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("dist", "--workspace", str(path), *argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "discrete scale must be finite and positive" in result.stderr
 
 
 def test_mean_composition_over_extreme_distances(tmp_path):

@@ -94,6 +94,12 @@ class TestBaseMetrics:
         with pytest.raises(ParameterError):
             DiscreteMetric(0.0)
 
+    # an infinite scale printed inf for f and nan inside the power means
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -1.0])
+    def test_discrete_scale_must_be_finite(self, lam):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            DiscreteMetric(lam)
+
     def test_euclidean_3_4_5(self):
         m = EuclideanMetric()
         assert m.distance(Element(0, (0.0, 0.0)), Element(1, (3.0, 4.0))) == 5.0
@@ -106,6 +112,17 @@ class TestBaseMetrics:
     def test_lp_one(self):
         m = LpMetric(1.0)
         assert m.distance(Element(0, (0.0, 0.0)), Element(1, (3.0, 4.0))) == 7.0
+
+    # the sum of the powers overflowed to inf, or underflowed to 0 and put two
+    # distinct points at distance 0
+    @pytest.mark.parametrize("x, y, expected", [
+        ((0.0, 0.0), (1.3e154, 1.3e154), 1.3e154 * math.sqrt(2.0)),
+        ((0.0,), (1e-200,), 1e-200),
+        ((1e-200, 0.0), (0.0, 1e-200), 1e-200 * math.sqrt(2.0)),
+    ])
+    def test_lp_powers_out_of_range(self, x, y, expected):
+        got = LpMetric(2.0).distance(Element(0, x), Element(1, y))
+        assert got == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_lp_requires_p_at_least_one(self):
         for p in (0.5, math.inf, math.nan):

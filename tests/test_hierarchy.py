@@ -194,6 +194,10 @@ class TestDuality:
         assert kappa == 0.5
         assert table == ((0, 1, 0.5),)
 
+    def test_infinite_scale_rejected(self, line_registry):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            duality_ratio(line_registry.set_of([0, 1]), math.inf)
+
     def test_ratio_constant_and_bounded(self, line_registry):
         for size in (2, 3, 4, 5):
             kappa, table = duality_ratio(line_registry.set_of(list(range(size))), 1.0)

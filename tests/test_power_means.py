@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from setmetric import (
     sidewise_mean_distance,
     subset_triple_sampler,
 )
+from setmetric.power_means import _power_mean_rows
 
 INF = float("inf")
 
@@ -83,6 +85,14 @@ class TestPowerMean:
         s = (math.log(1e300) - math.log(5e-324)) / 2
         assert power_mean(values, None, p) == pytest.approx(geometric * math.exp(p * s * s / 2))
         assert power_mean(values, None, -5e-324) == geometric
+
+    # 1e300 / 5e-324 overflows, and its log was read as inf: the term of 1e300
+    # counted as 0 instead of (1e300 / 5e-324)^p, and the mean was 6.263026e-294
+    def test_ratio_overflow_keeps_its_term(self):
+        values, p = [5e-324, 1e300], -0.01
+        expected = 6.262659932695864915e-294  # from a 60-digit evaluation
+        assert power_mean(values, None, p) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert _power_mean_rows(np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_errors(self):
         with pytest.raises(ParameterError):
@@ -153,6 +163,29 @@ class TestExpMean:
     @pytest.mark.parametrize("p", [5e-324, -5e-324])
     def test_subnormal_order_stays_within_range(self, p):
         assert 0.125 <= exp_mean([0.75, 0.125], None, p) <= 0.75
+
+    def test_values_whose_difference_overflows(self):
+        # 1e308 - (-1e308) overflows: the mean is log(cosh(0.01)) / 1e-310
+        expected = 4.99991666888880627e305  # from a 60-digit evaluation
+        assert exp_mean([1e308, -1e308], None, 1e-310) == pytest.approx(expected, rel=1e-12)
+
+    # e^v rounds by about 1e-16 relative, which log turns into an absolute
+    # error, and where the mean cancels both forms are off by some ulps of the
+    # largest |v|: hence the absolute part of the tolerance
+    @settings(max_examples=300)
+    @given(
+        values=st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=6),
+        data=st.data(),
+        p=st.one_of(st.floats(-50.0, 50.0),
+                    st.sampled_from([0.0, 1e-3, -1e-3, 1e-300, -1e-300, 1e300, INF, -INF])),
+    )
+    def test_is_the_log_of_the_power_mean_of_the_exponentials(self, values, data, p):
+        weights = data.draw(st.none() | st.lists(st.floats(0.5, 2.0), min_size=len(values),
+                                                 max_size=len(values)))
+        got = exp_mean(values, weights, p)
+        want = math.log(power_mean([math.exp(v) for v in values], weights, p))
+        scale = max(1.0, max(map(abs, values)))
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +296,15 @@ class TestDiscreteClosedForms:
             closed_form_sidewise_discrete(
                 line_registry.set_of([1]), line_registry.set_of([2]), 1.0
             )
+
+    @pytest.mark.parametrize("form, p", [
+        (closed_form_pointwise_discrete, 1.0),
+        (closed_form_sidewise_discrete, -1.0),
+    ])
+    def test_infinite_scale_rejected(self, line_registry, form, p):
+        a, b = line_registry.set_of([1, 2]), line_registry.set_of([2, 3])
+        with pytest.raises(ParameterError, match="finite and positive"):
+            form(a, b, p, INF)
 
     def test_closed_forms_match_generic_composition(self, line_registry):
         rng = random.Random(4)
