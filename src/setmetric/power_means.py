@@ -103,15 +103,18 @@ def power_mean(values: Sequence[float], weights: Sequence[float] | None = None, 
         return 0.0
     if p == 1:
         return math.fsum(w * v for v, w in active) / wsum
-    # Factor out the extreme value so the powered ratios stay in (0, 1].
-    m = max(active)[0] if p > 0 else min(active)[0]
-    if m == 0.0:
-        return 0.0
-    y = _log_scale([_log_ratio(v, m) for v, _ in active], active, wsum, p)
-    if y is None:
-        return math.exp(math.fsum(w * math.log(v) for v, w in active) / wsum)
-    # e^y is not a normal float where the mean is far from m: scale in the log domain
-    return m * math.exp(y) if _LOG_TINY <= y <= _LOG_MAX else math.exp(math.log(m) + y)
+    if p != 0:
+        # Factor out the extreme value so the powered ratios stay in (0, 1].
+        m = max(active)[0] if p > 0 else min(active)[0]
+        if m == 0.0:
+            return 0.0
+        if m == _INF:  # it outweighs every other term, or it is every value
+            return m
+        y = _log_scale([_log_ratio(v, m) for v, _ in active], active, wsum, p)
+        if y is not None:
+            # e^y is not a normal float where the mean is far from m: scale in the log domain
+            return m * math.exp(y) if _LOG_TINY <= y <= _LOG_MAX else math.exp(math.log(m) + y)
+    return math.exp(math.fsum(w * math.log(v) for v, w in active) / wsum)
 
 
 def _log_ratio(v: float, m: float) -> float:
@@ -137,15 +140,18 @@ def exp_mean(values: Sequence[float], weights: Sequence[float] | None = None, p:
         return min(vals)
     active = [(v, w) for v, w in zip(vals, wts) if w > 0.0]
     wsum = math.fsum(w for _, w in active)
-    top, bottom = max(active)[0], min(active)[0]
-    if math.isinf(top - bottom):
-        # v - m overflows: halve the values, by exp_mean(v; p) = 2 exp_mean(v/2; 2p)
-        return 2.0 * exp_mean([v / 2.0 for v, _ in active], [w for _, w in active], 2.0 * p)
-    m = top if p > 0 else bottom
-    y = _log_scale([v - m for v, _ in active], active, wsum, p)
-    if y is None:
-        return math.fsum(w * v for v, w in active) / wsum
-    return m + y
+    if p != 0:
+        top, bottom = max(active)[0], min(active)[0]
+        m = top if p > 0 else bottom
+        if math.isinf(m):  # e^(p m) outweighs every other term, or m is every value
+            return m
+        if math.isinf(top - bottom) and any(math.isinf(v - m) for v, _ in active if math.isfinite(v)):
+            # finite v - m overflows: halve, by exp_mean(v; p) = 2 exp_mean(v/2; 2p)
+            return 2.0 * exp_mean([v / 2.0 for v, _ in active], [w for _, w in active], 2.0 * p)
+        y = _log_scale([v - m for v, _ in active], active, wsum, p)
+        if y is not None:
+            return m + y
+    return math.fsum(w * v for v, w in active) / wsum
 
 
 def _log_scale(logs: list[float], active: list, wsum: float, p: float) -> float | None:
@@ -194,20 +200,22 @@ def _power_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
     means = np.zeros(len(rows))
     live = np.flatnonzero(m)
     x, m = rows[live], m[live, None]
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = x / m
-        logs = np.log(ratio)
-        # as in _log_ratio: a positive value's ratio is subnormal, 0 or inf
-        odd = (x > 0.0) & ((ratio < _TINY) | (ratio == _INF))
-        if odd.any():
-            logs[odd] = (np.log(x) - np.log(m))[odd]
-        y = _log_scale_rows(logs, p)
-        # as in power_mean: where e^y is not a normal float, scale in the log domain
-        normal = (_LOG_TINY <= y) & (y <= _LOG_MAX)
-        means[live] = np.where(normal, m[:, 0] * np.exp(y), np.exp(np.log(m[:, 0]) + y))
-    geometric = np.isnan(y)
-    if geometric.any():
-        means[live[geometric]] = np.exp(_row_sums(np.log(x[geometric])) / n)
+    if p != 0:
+        with np.errstate(divide="ignore", over="ignore"):
+            ratio = x / m
+            logs = np.log(ratio)
+            # as in _log_ratio: a positive value's ratio is subnormal, 0 or inf
+            odd = (x > 0.0) & ((ratio < _TINY) | (ratio == _INF))
+            if odd.any():
+                logs[odd] = (np.log(x) - np.log(m))[odd]
+            y = _log_scale_rows(logs, p)
+            # as in power_mean: where e^y is not a normal float, scale in the log domain
+            normal = (_LOG_TINY <= y) & (y <= _LOG_MAX)
+            means[live] = np.where(normal, m[:, 0] * np.exp(y), np.exp(np.log(m[:, 0]) + y))
+        geometric = np.isnan(y)
+        live, x = live[geometric], x[geometric]
+    if live.size:
+        means[live] = np.exp(_row_sums(np.log(x)) / n)
     return means
 
 
@@ -219,6 +227,8 @@ def _exp_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
         return rows.max(axis=1)
     if p == -_INF:
         return rows.min(axis=1)
+    if p == 0:
+        return _row_sums(rows) / rows.shape[1]
     m = rows.max(axis=1) if p > 0 else rows.min(axis=1)
     y = _log_scale_rows(rows - m[:, None], p)
     means = m + y

@@ -220,6 +220,22 @@ def test_exponential_inner_mean_at_an_overflowing_order(tmp_path):
     assert float(result.stdout) == pytest.approx((2e9 + 1e9 + 2e9) / 3)
 
 
+# math.dist overflows to inf between 1.7e308 and -1.7e308: the exponential
+# inner mean over it ran out of recursion, and the quadratic power mean
+# exited 2 with "mean of a NaN value"
+@pytest.mark.parametrize("argv", [["--j", "0"], ["--q", "2"]])
+def test_inner_mean_over_an_infinite_distance(tmp_path, argv):
+    doc = {
+        "metric": {"kind": "euclidean"},
+        "elements": {"a": [1.7e308], "b": [-1.7e308], "c": [0.0]},
+        "sets": {"A": ["a", "c"], "B": ["b"]},
+    }
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("dist", "--workspace", str(path), "--family", "u", *argv, "A", "B")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "inf\n", "")
+
+
 class TestMatrix:
     def test_symmetric_zero_diagonal_csv(self, ws):
         result = run_cli("matrix", "--workspace", ws, "--family", "f", "A", "B", "C")

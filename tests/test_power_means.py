@@ -94,6 +94,34 @@ class TestPowerMean:
         assert power_mean(values, None, p) == pytest.approx(expected, rel=1e-12, abs=0)
         assert _power_mean_rows(np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
+    # e^-700 / e^28 is subnormal, and its log kept too few bits: the mean was
+    # off by 1.3e-9 relative
+    def test_subnormal_ratio_keeps_its_bits(self):
+        values, p = [math.exp(28), math.exp(-700)], 0.00390625
+        expected = 2.4358233827397885692e-59  # from an 80-digit evaluation
+        assert power_mean(values, None, p) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert _power_mean_rows(np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    # the mean lies more than e^708 below the factored maximum e^546, so e^y
+    # underflowed and the mean was 0
+    def test_mean_far_below_the_factored_extreme(self):
+        values, p = [math.exp(546), math.exp(-444), math.exp(-700)], 1.2e-237
+        expected = 2.6954623744224761454e-87  # the geometric mean, from an 80-digit evaluation
+        assert power_mean(values, None, p) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert _power_mean_rows(np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    # inf / inf is nan: the mean was nan, and a math domain error beside a zero
+    @pytest.mark.parametrize("values, p, expected", [
+        ([INF, 1.0], 2.0, INF),
+        ([INF, 1.0], 0.5, INF),
+        ([INF, 0.0], 2.0, INF),
+        ([INF], 2.0, INF),
+        ([INF], -2.0, INF),
+        ([INF, 1.0], -2.0, math.sqrt(2.0)),  # a negative order gives inf no weight
+    ])
+    def test_infinite_values(self, values, p, expected):
+        assert power_mean(values, None, p) == pytest.approx(expected, rel=1e-15)
+
     def test_errors(self):
         with pytest.raises(ParameterError):
             power_mean([], None, 1.0)
@@ -168,6 +196,27 @@ class TestExpMean:
         # 1e308 - (-1e308) overflows: the mean is log(cosh(0.01)) / 1e-310
         expected = 4.99991666888880627e305  # from a 60-digit evaluation
         assert exp_mean([1e308, -1e308], None, 1e-310) == pytest.approx(expected, rel=1e-12)
+
+    def test_difference_overflow_beside_an_infinite_value(self):
+        # 1e308 - (-1e308) overflows, and the largest value is inf, whose
+        # e^(p v) is 0 at this order
+        expected = -9.8901387711331891437e307  # from an 80-digit evaluation
+        assert exp_mean([INF, -1e308, 1e308], None, -1e-306) == pytest.approx(expected, rel=1e-12)
+
+    # an infinite value's v - m is inf or nan: the first case ran out of
+    # recursion halving the values, and [inf] at order -1 was nan
+    @pytest.mark.parametrize("values, p, expected", [
+        ([INF, 0.0], 1.0, INF),
+        ([INF, 0.0], -1.0, math.log(2.0)),
+        ([INF, 0.0], 0.0, INF),
+        ([INF], 1.0, INF),
+        ([INF], -1.0, INF),
+        ([INF], 0.0, INF),
+        ([-INF, 0.0], 1.0, -math.log(2.0)),
+        ([-INF, 0.0], -1.0, -INF),
+    ])
+    def test_infinite_values(self, values, p, expected):
+        assert exp_mean(values, None, p) == pytest.approx(expected, rel=1e-15)
 
     # e^v rounds by about 1e-16 relative, which log turns into an absolute
     # error, and where the mean cancels both forms are off by some ulps of the
