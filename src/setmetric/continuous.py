@@ -50,6 +50,10 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
+# The largest bound magnitude an interval accepts: every length, and every
+# measure of a union, is then at most 2^1023, a finite float.
+_MAX_BOUND = 2.0**1022
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -63,6 +67,8 @@ class Interval:
         object.__setattr__(self, "hi", float(self.hi))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ParameterError(f"interval bounds must be finite: [{self.lo}, {self.hi}]")
+        if not (abs(self.lo) <= _MAX_BOUND and abs(self.hi) <= _MAX_BOUND):
+            raise ParameterError(f"interval bounds must lie within ±2^1022: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ParameterError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
@@ -188,6 +194,49 @@ def _sweep(a_parts: tuple[Interval, ...], b_parts: tuple[Interval, ...],
 # ---------------------------------------------------------------------------
 
 
+def _scaled(x, k: int):
+    """The interval, union or array of points ``x``, scaled by 2^-k."""
+    if isinstance(x, Interval):
+        return Interval(math.ldexp(x.lo, -k), math.ldexp(x.hi, -k))
+    if isinstance(x, IntervalUnion):
+        return IntervalUnion(tuple(_scaled(p, k) for p in x.parts))
+    return x * 2.0**-k
+
+
+def _overflow_safe(distance: Callable) -> Callable:
+    """Wrap ``distance``, a function of two intervals, unions or arrays of
+    points that is homogeneous of degree 1 in them, so that an intermediate
+    that overflows does not make its result inf or nan.
+
+    Where the plain result is not finite, the distance is taken again on the
+    operands scaled by 2^-k, for the first k of 64, 128, ..., 704 that gives
+    a finite result, which is scaled back. Scaling by a power of two is exact
+    while the bounds stay normal floats, and 2^-704 brings every bound within
+    ``_MAX_BOUND`` below 2^318, where no product of three lengths overflows.
+    Operands that also hold parts so short that scaling empties them have no
+    such k, and are a ``DomainError``.
+    """
+    @functools.wraps(distance)
+    def wrapper(a, b):
+        try:
+            value = distance(a, b)
+            if math.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+        for k in range(64, 705, 64):
+            try:
+                value = math.ldexp(distance(_scaled(a, k), _scaled(b, k)), k)
+            except OverflowError:
+                continue
+            except DomainError:
+                break  # a scaled part became null or degenerate: a larger k cannot help
+            if math.isfinite(value):
+                return value
+        raise DomainError(f"{distance.__name__} overflows: the bounds differ too widely in scale")
+    return wrapper
+
+
 def _box_abs_integral(a1: float, a2: float, b1: float, b2: float) -> float:
     # Double integral of |x - y| over [a1,a2] x [b1,b2]. The telescoped
     # antiderivative (four cubic terms) cancels catastrophically when one
@@ -213,6 +262,7 @@ def _box_abs_integral(a1: float, a2: float, b1: float, b2: float) -> float:
     return total
 
 
+@_overflow_safe
 def interval_group_average(a: IntervalUnion, b: IntervalUnion) -> float:
     """Mean of |x - y| over x in ``a``, y in ``b``, computed exactly."""
     mu_a, mu_b = a.measure, b.measure
@@ -231,7 +281,9 @@ def interval_average_metric(a: IntervalUnion, b: IntervalUnion) -> float:
     """Measure-based average-distance metric on interval unions.
 
     Difference terms with zero measure contribute zero through their
-    vanishing coefficient, so their group average is never evaluated.
+    vanishing coefficient, so their group average is never evaluated. The
+    coefficients sum to at most 1, so where the group averages are finite,
+    so is the metric.
     """
     union = a.union(b)
     mu_union = union.measure
@@ -247,6 +299,7 @@ def interval_average_metric(a: IntervalUnion, b: IntervalUnion) -> float:
     return total
 
 
+@_overflow_safe
 def interval_metric_closed_form(a: Interval, b: Interval) -> float:
     """Closed form of the interval metric for two single intervals.
 
@@ -358,11 +411,14 @@ def _abs_cross_sum(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.sum(left + right))
 
 
+@_overflow_safe
 def _average_metric_1d(xs: np.ndarray, ys: np.ndarray) -> float:
     import numpy as np
-    # Finite-set average metric over sorted unique 1-d points with d = |x-y|.
-    return _set_average(xs, ys, _abs_cross_sum,
-                        difference=functools.partial(np.setdiff1d, assume_unique=True))
+    # Finite-set average metric over sorted unique 1-d points with d = |x-y|;
+    # sums that overflow give inf or nan here, and are taken again scaled.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _set_average(xs, ys, _abs_cross_sum,
+                            difference=functools.partial(np.setdiff1d, assume_unique=True))
 
 
 def _sample_sides(a: Membership, b: Membership, plan: SamplePlan) -> tuple:

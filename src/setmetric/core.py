@@ -372,15 +372,17 @@ class MatrixMetric(BaseMetric):
                 f"zero distance between distinct ids {ids[i]!r} and "
                 f"{ids[j]!r}; flag the table as pseudo to allow it"
             )
-        for i in range(n):
-            # violated[j, k]: R[i, k] > (R[i, j] + R[j, k]) + tol, summed as the loop did
-            violated = table[i] > (table[i][:, None] + table) + tolerance
-            if violated.any():
-                j, k = divmod(int(np.argmax(violated)), n)
-                raise ParameterError(
-                    "triangle inequality fails for ids "
-                    f"({ids[i]!r}, {ids[j]!r}, {ids[k]!r})"
-                )
+        # a sum that overflows to inf is no violation, as its exact value is not
+        with np.errstate(over="ignore"):
+            for i in range(n):
+                # violated[j, k]: R[i, k] > (R[i, j] + R[j, k]) + tol, summed as the loop did
+                violated = table[i] > (table[i][:, None] + table) + tolerance
+                if violated.any():
+                    j, k = divmod(int(np.argmax(violated)), n)
+                    raise ParameterError(
+                        "triangle inequality fails for ids "
+                        f"({ids[i]!r}, {ids[j]!r}, {ids[k]!r})"
+                    )
         self.ids = ids
         self.pseudo = pseudo
         self.symmetric = bool((table == table.T).all())

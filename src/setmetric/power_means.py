@@ -1,16 +1,18 @@
-"""Extended weighted power means and the distance families built from them.
+"""Extended power means and the distance families built from them.
 
-Two mean types, both taking an extended-real order ``p`` (finite, 0 as the
-analytic limit, +inf, -inf):
+Two mean types over n values, both taking an extended-real order ``p``
+(finite, 0 as the analytic limit, +inf, -inf):
 
-* ``power_mean``  (sum w x^p / sum w)^(1/p); p=1 arithmetic, p=0 geometric
-* ``exp_mean``    (1/p) ln(sum w e^(p x) / sum w); p=0 arithmetic
+* ``power_mean``  ((1/n) sum x^p)^(1/p); p=1 arithmetic, p=0 geometric
+* ``exp_mean``    (1/p) ln((1/n) sum e^(p x)); p=0 arithmetic
 
 Limit orders are dispatched to closed-form branches rather than evaluated
 numerically near the limit. Both means are one algebra, the exponential mean
 of v being the log of the power mean of e^v, and one kernel, ``_log_scale``,
 accumulates both in the log domain relative to the factored extreme value,
-so large ``p * x`` cannot overflow.
+so large ``p * x`` cannot overflow. Every arithmetic mean, of the values,
+their logs or the kernel's terms, is ``_mean``, which cannot overflow where
+the mean is finite.
 
 Composing means over a pair of finite sets yields a two-parameter family
 that specializes to the average-distance metric (both orders at their
@@ -55,70 +57,68 @@ _LOG_MAX = math.log(sys.float_info.max)  # the largest y whose e^y is finite
 _LOG_TINY = math.log(_TINY)  # the smallest y whose e^y is a normal float
 
 
-def _validated(
-    values: Sequence[float],
-    weights: Sequence[float] | None,
-    nonneg_values: bool,
-) -> tuple[list[float], list[float]]:
+def _validated(values: Sequence[float], nonneg: bool) -> list[float]:
     vals = [float(v) for v in values]
     if not vals:
         raise ParameterError("mean of an empty value list")
-    if weights is None:
-        wts = [1.0] * len(vals)
-    else:
-        wts = [float(w) for w in weights]
-        if len(wts) != len(vals):
-            raise ParameterError(
-                f"length mismatch: {len(vals)} values, {len(wts)} weights"
-            )
     if any(map(math.isnan, vals)):
         raise ParameterError("mean of a NaN value")
-    if nonneg_values and not all(v >= 0 for v in vals):
+    if nonneg and not all(v >= 0 for v in vals):
         raise ParameterError("power mean expects non-negative values")
-    if not all(w >= 0 for w in wts):
-        if any(map(math.isnan, wts)):
-            raise ParameterError("mean with a NaN weight")
-        raise ParameterError("weights must be non-negative")
-    if not any(w > 0 for w in wts):
-        raise ParameterError("at least one weight must be positive")
-    return vals, wts
+    return vals
 
 
-def power_mean(values: Sequence[float], weights: Sequence[float] | None = None, p: float = 1.0) -> float:
-    """Weighted power mean of order ``p`` over non-negative values.
+def _mean(values: list[float]) -> float:
+    """The arithmetic mean, from one correctly rounded ``math.fsum``. Where the
+    sum overflows, the values are summed at 2^-k, k the bit length of n, where
+    n finite values cannot overflow, and the mean is scaled back."""
+    n = len(values)
+    try:
+        try:
+            return math.fsum(values) / n
+        except OverflowError:
+            k = n.bit_length()
+            return math.ldexp(math.fsum([math.ldexp(v, -k) for v in values]) / n, k)
+    except ValueError:
+        raise ParameterError("mean of both +inf and -inf") from None
+
+
+def power_mean(values: Sequence[float], p: float = 1.0) -> float:
+    """Power mean of order ``p`` over non-negative values.
 
     p = 1 arithmetic mean, p = 0 geometric mean (analytic limit), p = +inf /
-    -inf the max / min over all listed values (the infinite orders ignore
-    weights). Zero-weight terms never contribute, so a zero value under a
-    zero weight does not trip the "zero value with p < 0 gives 0" rule.
+    -inf the max / min. A zero value makes the mean 0 for p <= 0.
     """
-    vals, wts = _validated(values, weights, nonneg_values=True)
+    vals = _validated(values, nonneg=True)
     if p == _INF:
         return max(vals)
     if p == -_INF:
         return min(vals)
-    active = [(v, w) for v, w in zip(vals, wts) if w > 0.0]
-    wsum = math.fsum(w for _, w in active)
-    if p <= 0 and any(v == 0.0 for v, _ in active):
+    if p <= 0 and 0.0 in vals:
         return 0.0
     if p == 1:
-        return math.fsum(w * v for v, w in active) / wsum
+        return _mean(vals)
     if p != 0:
         # Factor out the extreme value so the powered ratios stay in (0, 1].
-        m = max(active)[0] if p > 0 else min(active)[0]
+        m = max(vals) if p > 0 else min(vals)
         if m == 0.0:
             return 0.0
         if m == _INF:  # it outweighs every other term, or it is every value
             return m
-        y = _log_scale([_log_ratio(v, m) for v, _ in active], active, wsum, p)
+        y = _log_scale([_log_ratio(v, m) for v in vals], p)
         if y is not None:
+            if _LOG_TINY <= y <= _LOG_MAX:
+                return m * math.exp(y)
             # e^y is not a normal float where the mean is far from m: scale in the log domain
-            return m * math.exp(y) if _LOG_TINY <= y <= _LOG_MAX else math.exp(math.log(m) + y)
-    return math.exp(math.fsum(w * math.log(v) for v, w in active) / wsum)
+            try:
+                return math.exp(math.log(m) + y)
+            except OverflowError:  # with an infinite value at p < 0 it can pass the largest float
+                return _INF
+    return math.exp(_mean([math.log(v) for v in vals]))
 
 
 def _log_ratio(v: float, m: float) -> float:
-    # log(0/m) = -inf makes a zero value's term -w, since 0^p = 0 for p > 0
+    # log(0/m) = -inf makes a zero value's term -1, since 0^p = 0 for p > 0
     if not v:
         return -_INF
     ratio = v / m
@@ -126,38 +126,36 @@ def _log_ratio(v: float, m: float) -> float:
     return math.log(ratio) if _TINY <= ratio < _INF else math.log(v) - math.log(m)
 
 
-def exp_mean(values: Sequence[float], weights: Sequence[float] | None = None, p: float = 1.0) -> float:
-    """Exponential-transform mean (1/p) ln(sum w e^(p x) / sum w).
+def exp_mean(values: Sequence[float], p: float = 1.0) -> float:
+    """Exponential-transform mean (1/p) ln((1/n) sum e^(p x)).
 
-    p = 0 is the arithmetic-mean limit; p = +inf / -inf give max / min over
-    all listed values. It is m + log(M / m) for the power mean M of the e^v
-    and their factored extreme e^m, so p * v never overflows.
+    p = 0 is the arithmetic-mean limit; p = +inf / -inf give max / min. It is
+    m + log(M / m) for the power mean M of the e^v and their factored extreme
+    e^m, so p * v never overflows.
     """
-    vals, wts = _validated(values, weights, nonneg_values=False)
+    vals = _validated(values, nonneg=False)
     if p == _INF:
         return max(vals)
     if p == -_INF:
         return min(vals)
-    active = [(v, w) for v, w in zip(vals, wts) if w > 0.0]
-    wsum = math.fsum(w for _, w in active)
     if p != 0:
-        top, bottom = max(active)[0], min(active)[0]
+        top, bottom = max(vals), min(vals)
         m = top if p > 0 else bottom
         if math.isinf(m):  # e^(p m) outweighs every other term, or m is every value
             return m
-        if math.isinf(top - bottom) and any(math.isinf(v - m) for v, _ in active if math.isfinite(v)):
+        if math.isinf(top - bottom) and any(math.isinf(v - m) for v in vals if math.isfinite(v)):
             # finite v - m overflows: halve, by exp_mean(v; p) = 2 exp_mean(v/2; 2p)
-            return 2.0 * exp_mean([v / 2.0 for v, _ in active], [w for _, w in active], 2.0 * p)
-        y = _log_scale([v - m for v, _ in active], active, wsum, p)
+            return 2.0 * exp_mean([v / 2.0 for v in vals], 2.0 * p)
+        y = _log_scale([v - m for v in vals], p)
         if y is not None:
             return m + y
-    return math.fsum(w * v for v, w in active) / wsum
+    return _mean(vals)
 
 
-def _log_scale(logs: list[float], active: list, wsum: float, p: float) -> float | None:
+def _log_scale(logs: list[float], p: float) -> float | None:
     """log(M / m) for the power mean M of order ``p`` of the values m e^x, x in
-    ``logs``, weighted as ``active``; None where the order-0 limit applies.
-    ``power_mean`` is m e^y over the logs of v/m, ``exp_mean`` m + y over v - m."""
+    ``logs``; None where the order-0 limit applies. ``power_mean`` is m e^y
+    over the logs of v/m, ``exp_mean`` m + y over v - m."""
     if p == 0:
         return None
     spread = max(map(abs, logs))
@@ -168,32 +166,30 @@ def _log_scale(logs: list[float], active: list, wsum: float, p: float) -> float 
         return None
     # expm1 keeps orders next to 0 from rounding the sum to 1; p * x <= 0, as
     # m is the max for p > 0 and the min for p < 0
-    delta = math.fsum(w * math.expm1(p * x) for x, (_, w) in zip(logs, active))
-    return math.log1p(delta / wsum) / p
+    return math.log1p(_mean([math.expm1(p * x) for x in logs])) / p
 
 
 # The means of each row of a chunk of the cross-distance block, whose values
-# are finite and non-negative under unit weights: the scalar means on 2-d
-# arrays, with the same kernel and infinities, which pass without warnings.
+# are finite and non-negative: the scalar means on 2-d arrays, with the same
+# kernel and infinities, which pass without warnings.
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """One ``math.fsum`` per row: correctly rounded, so a mean does not
-    depend on the order of the ids, as numpy's row sums would."""
+def _row_means(rows: np.ndarray) -> np.ndarray:
+    """``_mean`` of each row: correctly rounded, so a mean does not depend on
+    the order of the ids, as numpy's row sums would."""
     import numpy as np
-    return np.array([math.fsum(row) for row in rows.tolist()])
+    return np.array([_mean(row) for row in rows.tolist()])
 
 
 def _power_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
-    """``power_mean(row, None, p)`` for each row of ``rows``."""
+    """``power_mean(row, p)`` for each row of ``rows``."""
     import numpy as np
     if p == _INF:
         return rows.max(axis=1)
     if p == -_INF:
         return rows.min(axis=1)
-    n = rows.shape[1]
     if p == 1:
-        return _row_sums(rows) / n
+        return _row_means(rows)
     # m is the extreme value factored out; where it is 0, so is the mean: a
     # zero value for p <= 0, a row of zeros for p > 0
     m = rows.max(axis=1) if p > 0 else rows.min(axis=1)
@@ -215,12 +211,12 @@ def _power_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
         geometric = np.isnan(y)
         live, x = live[geometric], x[geometric]
     if live.size:
-        means[live] = np.exp(_row_sums(np.log(x)) / n)
+        means[live] = np.exp(_row_means(np.log(x)))
     return means
 
 
 def _exp_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
-    """``exp_mean(row, None, p)`` for each row of ``rows``. The values are
+    """``exp_mean(row, p)`` for each row of ``rows``. The values are
     non-negative, so v - m cannot overflow."""
     import numpy as np
     if p == _INF:
@@ -228,18 +224,18 @@ def _exp_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
     if p == -_INF:
         return rows.min(axis=1)
     if p == 0:
-        return _row_sums(rows) / rows.shape[1]
+        return _row_means(rows)
     m = rows.max(axis=1) if p > 0 else rows.min(axis=1)
     y = _log_scale_rows(rows - m[:, None], p)
     means = m + y
     arithmetic = np.isnan(y)
     if arithmetic.any():
-        means[arithmetic] = _row_sums(rows[arithmetic]) / rows.shape[1]
+        means[arithmetic] = _row_means(rows[arithmetic])
     return means
 
 
 def _log_scale_rows(logs: np.ndarray, p: float) -> np.ndarray:
-    """``_log_scale`` of each row under unit weights, NaN for None."""
+    """``_log_scale`` of each row, NaN for None."""
     import numpy as np
     y = np.full(len(logs), np.nan)
     if p == 0:
@@ -247,7 +243,7 @@ def _log_scale_rows(logs: np.ndarray, p: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         spread = np.abs(logs).max(axis=1)
         powered = ~((spread > 0.0) & (spread * abs(p) < _TINY))
-        y[powered] = np.log1p(_row_sums(np.expm1(p * logs[powered])) / logs.shape[1]) / p
+        y[powered] = np.log1p(_row_means(np.expm1(p * logs[powered]))) / p
     return y
 
 
@@ -293,7 +289,7 @@ def pointwise_mean_distance(
         0.0 if eid in a.ids and eid in b.ids else into_a(eid) if eid in b.ids else into_b(eid)
         for eid in a.union(b).members
     ]
-    return outer(values, None, p)
+    return outer(values, p)
 
 
 def _means_into(m: BaseMetric, side: FiniteSet, other: FiniteSet, j: int, q: float):
@@ -315,7 +311,7 @@ def _means_into(m: BaseMetric, side: FiniteSet, other: FiniteSet, j: int, q: flo
 
     def mean_into(eid: ElementId) -> float:
         x = registry.element(eid)
-        return inner([m.distance(x, y) for y in targets], None, q)
+        return inner([m.distance(x, y) for y in targets], q)
 
     return mean_into
 
@@ -346,9 +342,9 @@ def sidewise_mean_distance(
     def branch(side: FiniteSet, other: FiniteSet) -> float:
         into_side = _means_into(m, side, other, j, q)
         values = [0.0 if eid in side.ids else into_side(eid) for eid in union_ids]
-        return middle(values, None, p)
+        return middle(values, p)
 
-    return outer([branch(a, b), branch(b, a)], None, r)
+    return outer([branch(a, b), branch(b, a)], r)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def ref_hausdorff(m, a, b):
 def ref_inner_means(m, side, inner, q):
     """x -> inner mean of the distances from x into ``side``."""
     d = ref_d(m, side.registry)
-    return lambda x: inner([d(x, y) for y in side], None, q)
+    return lambda x: inner([d(x, y) for y in side], q)
 
 
 def mean(kind):
@@ -85,7 +85,7 @@ def ref_pointwise(m, a, b, i, j, p, q):
     into_b = ref_inner_means(m, b, mean(j), q)
     union = a.union(b).members
     values = [0.0 if x in a and x in b else (into_a(x) if x in b else into_b(x)) for x in union]
-    return mean(i)(values, None, p)
+    return mean(i)(values, p)
 
 
 def ref_sidewise(m, a, b, k, i, j, r, p, q):
@@ -93,8 +93,8 @@ def ref_sidewise(m, a, b, k, i, j, r, p, q):
     branches = []
     for side in (a, b):
         into = ref_inner_means(m, side, mean(j), q)
-        branches.append(mean(i)([0.0 if x in side else into(x) for x in union], None, p))
-    return mean(k)(branches, None, r)
+        branches.append(mean(i)([0.0 if x in side else into(x) for x in union], p))
+    return mean(k)(branches, r)
 
 
 def close(got, ref, rel, scale=None):
@@ -204,7 +204,7 @@ def test_row_means_match_the_scalar_means(rows, j, q):
     row_means = power_means._power_mean_rows if j == 1 else power_means._exp_mean_rows
     for row, got in zip(rows, row_means(np.array(rows), q).tolist()):
         # where p * x or a ratio overflows, both forms take the limit: no nan
-        assert math.isclose(got, mean(j)(row, None, q), rel_tol=MEAN_REL)
+        assert math.isclose(got, mean(j)(row, q), rel_tol=MEAN_REL)
 
 
 def test_large_operands_take_the_block_and_small_ones_do_not():

@@ -160,6 +160,8 @@ def test_nan_and_infinite_parameters_exit_2(ws, argv, message):
      ["--family", "f", "A", "B"]),
     ({"elements": {"a": [], "b": []}, "sets": {"A": ["a"], "B": ["b"]}},
      ["--family", "f", "A", "B"]),
+    # bounds beyond ±2^1022: a union measure of inf ended in a traceback
+    ({"intervals": {"I": [[-1.7e308, 1.7e308]], "J": [[0, 1]]}}, ["--family", "steinhaus", "I", "J"]),
 ])
 def test_malformed_workspace_exits_2(tmp_path, doc, argv):
     path = tmp_path / "workspace.json"
@@ -234,6 +236,44 @@ def test_inner_mean_over_an_infinite_distance(tmp_path, argv):
     path.write_text(json.dumps(doc))
     result = run_cli("dist", "--workspace", str(path), "--family", "u", *argv, "A", "B")
     assert (result.returncode, result.stdout, result.stderr) == (0, "inf\n", "")
+
+
+# Each mean of cells of 1e308 overflowed math.fsum, a traceback, and loading
+# the table printed "RuntimeWarning: overflow encountered in add"
+@pytest.mark.parametrize("family, stdout", [("u", "1e+308\n"), ("v", "5e+307\n"), ("j", "1\n")])
+def test_table_of_distances_near_the_largest_float(tmp_path, family, stdout):
+    doc = {
+        "metric": {"kind": "matrix", "ids": ["a", "b", "c"],
+                   "values": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]},
+        "elements": {"a": None, "b": None, "c": None},
+        "sets": {"A": ["a"], "B": ["b", "c"]},
+    }
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("dist", "--workspace", str(path), "--family", family, "A", "B")
+    assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
+
+
+EXTREME_INTERVALS = {
+    "metric": {"kind": "euclidean"},
+    "elements": {},
+    "intervals": {"I": [[-1e300, 0]], "K": [[-1e300, 1]], "WIDE": [[-1e200, 1e200]],
+                  "SHORT": [[0, 0.5]]},
+}
+
+
+# interval printed -inf, and estimate printed "reference inf" and
+# "relative_error nan"; all exited 0
+@pytest.mark.parametrize("argv, stdout", [
+    (["dist", "--family", "interval", "WIDE", "SHORT"], "5e+199\n"),
+    (["estimate", "I", "K", "--n", "1", "--seed", "0", "--population", "K"],
+     "estimate 0\nsample_a 1\nsample_b 1\nreference 0.5\nrelative_error 1\n"),
+])
+def test_interval_distances_at_extreme_bounds(tmp_path, argv, stdout):
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(EXTREME_INTERVALS))
+    result = run_cli(argv[0], "--workspace", str(path), *argv[1:])
+    assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
 
 
 class TestMatrix:

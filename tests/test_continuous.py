@@ -5,6 +5,7 @@ quadrature, so the closed forms never have to vouch for themselves.
 """
 
 import functools
+import math
 import random
 
 import numpy as np
@@ -138,6 +139,15 @@ class TestIntervalUnion:
     def test_non_finite_bounds_rejected(self, lo, hi):
         with pytest.raises(ParameterError):
             Interval(lo, hi)
+
+    # a length or a union measure past 2^1023 overflowed to inf
+    @pytest.mark.parametrize("lo, hi", [(-1.7e308, 0.0), (0.0, 4.5e307), (-1.5 * 2.0**1022, -1.0)])
+    def test_bounds_beyond_2_to_the_1022_rejected(self, lo, hi):
+        with pytest.raises(ParameterError, match="2\\^1022"):
+            Interval(lo, hi)
+
+    def test_the_widest_union_has_a_finite_measure(self):
+        assert U((-2.0**1022, 2.0**1022)).measure == 2.0**1023
 
     def test_measure(self):
         assert U((0, 1), (2, 4)).measure == 3.0
@@ -294,6 +304,51 @@ class TestIntervalMetric:
             closed = interval_metric_closed_form(a, b)
             numeric = interval_average_metric(U((a.lo, a.hi)), U((b.lo, b.hi)))
             assert closed == pytest.approx(numeric, abs=1e-9)
+
+
+def scaled_up(x, k):
+    """An interval or union with its bounds scaled by 2^k."""
+    if isinstance(x, Interval):
+        return Interval(math.ldexp(x.lo, k), math.ldexp(x.hi, k))
+    return IntervalUnion.of(scaled_up(p, k) for p in x.parts)
+
+
+# A product of three lengths overflows from extents of about 5.6e102 on: the
+# distances were inf, -inf or nan, or raised OverflowError. Scaling by a power
+# of two is exact, so the results are the small ones scaled, bit for bit.
+class TestExtremeBounds:
+    @pytest.mark.parametrize("k", [400, 1000])
+    @pytest.mark.parametrize("distance", [interval_group_average, interval_average_metric])
+    def test_union_distances_scale_exactly(self, distance, k):
+        a, b = U((0, 1), (3, 4)), U((0, 2))
+        assert distance(scaled_up(a, k), scaled_up(b, k)) == math.ldexp(distance(a, b), k)
+
+    @pytest.mark.parametrize("k", [600, 1000])
+    def test_closed_form_scales_exactly(self, k):
+        a, b = Interval(-1, 1), Interval(0, 0.5)
+        assert interval_metric_closed_form(scaled_up(a, k), scaled_up(b, k)) == math.ldexp(
+            interval_metric_closed_form(a, b), k)
+
+    def test_decimal_extents(self):
+        assert interval_metric_closed_form(Interval(-1e200, 1e200), Interval(0, 0.5)) == pytest.approx(
+            5e199, rel=1e-15, abs=0)
+        base = interval_average_metric(U((0, 1), (3, 4)), U((0, 2)))
+        for extent in (1e200, 1e300):
+            got = interval_average_metric(U((0, extent), (3 * extent, 4 * extent)), U((0, 2 * extent)))
+            assert got == pytest.approx(base * extent, rel=1e-14, abs=0)
+        assert interval_average_metric(U((-1e300, 0)), U((-1e300, 1))) == pytest.approx(0.5, rel=1e-15)
+
+    def test_sampled_estimate_scales_exactly(self):
+        a, b = U((-4e307, 4e307)), U((-4e307, 0))
+        value = estimate_average_metric(a, b, SamplePlan(a, n=50, seed=0)).value
+        a, b = scaled_up(a, -100), scaled_up(b, -100)
+        assert value == math.ldexp(estimate_average_metric(a, b, SamplePlan(a, n=50, seed=0)).value, 100)
+
+    # no scaling keeps a part of length 1e-300 and a product of two lengths
+    # near 1e615 both in range: that is an error, not inf
+    def test_bounds_too_far_apart_in_scale(self):
+        with pytest.raises(DomainError, match="differ too widely in scale"):
+            interval_average_metric(U((0, 1e-300)), U((-4e307, 4e307)))
 
 
 class TestSteinhaus:

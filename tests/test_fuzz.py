@@ -37,6 +37,8 @@ def documents(draw):
     if draw(st.integers(0, 9)) == 0:
         return draw(json_values)
     coordinate = st.one_of(extremes, st.floats(-1e3, 1e3))
+    # bounds beyond 2^1022 (about 4.49e307) are rejected
+    bound = st.one_of(coordinate, st.sampled_from([4e307, -4e307, 1.7e308, -1.7e308]))
     dim = draw(st.integers(1, 2))
     kind = draw(st.sampled_from(["discrete", "euclidean", "lp", "matrix"]))
     metric = {"kind": kind}
@@ -51,7 +53,7 @@ def documents(draw):
         "metric": metric,
         "elements": {eid: draw(st.lists(coordinate, min_size=dim, max_size=dim)) for eid in IDS},
         "sets": {name: draw(st.lists(ids, max_size=4, unique=True)) for name in SETS},
-        "intervals": {name: draw(st.lists(st.lists(coordinate, min_size=2, max_size=2).map(sorted),
+        "intervals": {name: draw(st.lists(st.lists(bound, min_size=2, max_size=2).map(sorted),
                                           min_size=1, max_size=3)) for name in INTERVALS},
         "fuzzy": {name: draw(st.dictionaries(ids, st.sampled_from([1.0, 0.5, 0.3, 0.0]),
                                              min_size=1, max_size=4)) for name in FUZZY},

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,43 +27,35 @@ from setmetric import (
     sidewise_mean_distance,
     subset_triple_sampler,
 )
-from setmetric.power_means import _power_mean_rows
+from setmetric.power_means import _exp_mean_rows, _power_mean_rows
 
 INF = float("inf")
 
 
 class TestPowerMean:
     def test_arithmetic(self):
-        assert power_mean([1, 2, 3], None, 1.0) == pytest.approx(2.0)
+        assert power_mean([1, 2, 3], 1.0) == pytest.approx(2.0)
 
     def test_geometric_limit(self):
-        assert power_mean([1, 2, 4], None, 0.0) == pytest.approx(2.0)
+        assert power_mean([1, 2, 4], 0.0) == pytest.approx(2.0)
 
     def test_zero_value_with_negative_order(self):
-        assert power_mean([1, 0, 4], None, -1.0) == 0.0
+        assert power_mean([1, 0, 4], -1.0) == 0.0
 
     def test_infinite_orders_ignore_weights(self):
         values = [1.0, 5.0, 3.0]
-        weights = [1.0, 0.0, 0.5]
-        assert power_mean(values, weights, INF) == 5.0
-        assert power_mean(values, weights, -INF) == 1.0
-
-    def test_zero_weight_zero_value_does_not_collapse(self):
-        # the excluded term would otherwise force the negative-order mean to 0
-        assert power_mean([2.0, 0.0], [1.0, 0.0], -2.0) == pytest.approx(2.0)
+        assert power_mean(values, INF) == 5.0
+        assert power_mean(values, -INF) == 1.0
 
     def test_harmonic(self):
-        assert power_mean([1, 2, 4], None, -1.0) == pytest.approx(3 / (1 + 0.5 + 0.25))
+        assert power_mean([1, 2, 4], -1.0) == pytest.approx(3 / (1 + 0.5 + 0.25))
 
     def test_zero_value_with_positive_order(self):
-        assert power_mean([0.0, 2.0], None, 2.0) == pytest.approx(math.sqrt(2))
-        assert power_mean([0.0, 0.0], None, 3.0) == 0.0
-
-    def test_weighted_arithmetic(self):
-        assert power_mean([1, 3], [0.25, 0.75], 1.0) == pytest.approx(2.5)
+        assert power_mean([0.0, 2.0], 2.0) == pytest.approx(math.sqrt(2))
+        assert power_mean([0.0, 0.0], 3.0) == 0.0
 
     def test_large_order_does_not_overflow(self):
-        assert power_mean([1e3, 2e3], None, 500.0) == pytest.approx(2e3, rel=1e-2)
+        assert power_mean([1e3, 2e3], 500.0) == pytest.approx(2e3, rel=1e-2)
 
     @pytest.mark.parametrize("p, expected", [
         (2.0, 1e300 / math.sqrt(2.0)),
@@ -72,26 +65,26 @@ class TestPowerMean:
     ])
     def test_ratio_underflow(self, p, expected):
         # 1e-300 / 1e300 underflows to 0, whose log is undefined
-        assert power_mean([1e300, 1e-300], None, p) == pytest.approx(expected)
+        assert power_mean([1e300, 1e-300], p) == pytest.approx(expected, rel=1e-12, abs=0)
 
     # 1e300 / 5e-324 overflows: at -1e-10 the mean raised OverflowError, at
     # -5e-324 it was inf; both lie next to the geometric mean
     def test_ratio_overflow_near_order_zero(self):
         values, p = [5e-324, 1e300], -1e-10
-        geometric = power_mean(values, None, 0.0)
-        assert geometric == pytest.approx(math.sqrt(5e-324) * 1e150)
+        geometric = power_mean(values, 0.0)
+        assert geometric == pytest.approx(math.sqrt(5e-324) * 1e150, rel=1e-12, abs=0)
         # two values at equal weight: M_p = G exp(p s^2 / 2 + O(p^3 s^4)), s
         # half the spread of their logs
         s = (math.log(1e300) - math.log(5e-324)) / 2
-        assert power_mean(values, None, p) == pytest.approx(geometric * math.exp(p * s * s / 2))
-        assert power_mean(values, None, -5e-324) == geometric
+        assert power_mean(values, p) == pytest.approx(geometric * math.exp(p * s * s / 2), rel=1e-12, abs=0)
+        assert power_mean(values, -5e-324) == geometric
 
     # 1e300 / 5e-324 overflows, and its log was read as inf: the term of 1e300
     # counted as 0 instead of (1e300 / 5e-324)^p, and the mean was 6.263026e-294
     def test_ratio_overflow_keeps_its_term(self):
         values, p = [5e-324, 1e300], -0.01
         expected = 6.262659932695864915e-294  # from a 60-digit evaluation
-        assert power_mean(values, None, p) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert power_mean(values, p) == pytest.approx(expected, rel=1e-12, abs=0)
         assert _power_mean_rows(np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
     # e^-700 / e^28 is subnormal, and its log kept too few bits: the mean was
@@ -99,7 +92,7 @@ class TestPowerMean:
     def test_subnormal_ratio_keeps_its_bits(self):
         values, p = [math.exp(28), math.exp(-700)], 0.00390625
         expected = 2.4358233827397885692e-59  # from an 80-digit evaluation
-        assert power_mean(values, None, p) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert power_mean(values, p) == pytest.approx(expected, rel=1e-12, abs=0)
         assert _power_mean_rows(np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
     # the mean lies more than e^708 below the factored maximum e^546, so e^y
@@ -107,7 +100,7 @@ class TestPowerMean:
     def test_mean_far_below_the_factored_extreme(self):
         values, p = [math.exp(546), math.exp(-444), math.exp(-700)], 1.2e-237
         expected = 2.6954623744224761454e-87  # the geometric mean, from an 80-digit evaluation
-        assert power_mean(values, None, p) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert power_mean(values, p) == pytest.approx(expected, rel=1e-12, abs=0)
         assert _power_mean_rows(np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
     # inf / inf is nan: the mean was nan, and a math domain error beside a zero
@@ -118,23 +111,25 @@ class TestPowerMean:
         ([INF], 2.0, INF),
         ([INF], -2.0, INF),
         ([INF, 1.0], -2.0, math.sqrt(2.0)),  # a negative order gives inf no weight
+        # the mean is 2^1e10 * 2.5e-94, past the largest float: this overflowed
+        ([2.5e-94, INF], -1e-10, INF),
     ])
     def test_infinite_values(self, values, p, expected):
-        assert power_mean(values, None, p) == pytest.approx(expected, rel=1e-15)
+        assert power_mean(values, p) == pytest.approx(expected, rel=1e-15)
+
+    # the sum of the values overflowed: fsum raised OverflowError
+    def test_arithmetic_mean_whose_sum_overflows(self):
+        assert power_mean([1e308, 1e308], 1.0) == 1e308
+        assert power_mean([1.7e308, 1.7e308, 1.0], 1.0) == float((2 * Fraction(1.7e308) + 1) / 3)
+        assert _power_mean_rows(np.array([[1e308, 1e308]]), 1.0).tolist() == [1e308]
 
     def test_errors(self):
         with pytest.raises(ParameterError):
-            power_mean([], None, 1.0)
+            power_mean([], 1.0)
         with pytest.raises(ParameterError):
-            power_mean([1, 2], [1.0], 1.0)
-        with pytest.raises(ParameterError):
-            power_mean([-1.0], None, 1.0)
-        with pytest.raises(ParameterError):
-            power_mean([1.0, 2.0], [0.0, 0.0], 1.0)
+            power_mean([-1.0], 1.0)
         with pytest.raises(ParameterError, match="NaN value"):
-            power_mean([1.0, math.nan], None, 2.0)
-        with pytest.raises(ParameterError, match="NaN weight"):
-            power_mean([1.0, 2.0], [1.0, math.nan], 2.0)
+            power_mean([1.0, math.nan], 2.0)
 
     @settings(max_examples=200)
     @given(
@@ -145,63 +140,67 @@ class TestPowerMean:
     @example(values=[0.75, 0.125], p_lo=0.0, p_hi=5e-324)
     def test_monotone_in_order(self, values, p_lo, p_hi):
         lo, hi = sorted((p_lo, p_hi))
-        assert power_mean(values, None, lo) <= power_mean(values, None, hi) + 1e-9
+        assert power_mean(values, lo) <= power_mean(values, hi) + 1e-9
 
 
 class TestExpMean:
     def test_zero_order_is_arithmetic(self):
-        assert exp_mean([1, 2, 3], None, 0.0) == pytest.approx(2.0)
+        assert exp_mean([1, 2, 3], 0.0) == pytest.approx(2.0)
 
     def test_frozen_example(self):
-        assert exp_mean([0, 1], None, 1.0) == pytest.approx(math.log((1 + math.e) / 2))
+        assert exp_mean([0, 1], 1.0) == pytest.approx(math.log((1 + math.e) / 2))
 
     def test_infinite_order_is_max(self):
-        assert exp_mean([3.0, 7.0, 5.0], None, INF) == 7.0
-        assert exp_mean([3.0, 7.0, 5.0], None, -INF) == 3.0
+        assert exp_mean([3.0, 7.0, 5.0], INF) == 7.0
+        assert exp_mean([3.0, 7.0, 5.0], -INF) == 3.0
 
     def test_shifted_exponentials_survive_large_arguments(self):
         # naive exp(p * x) would overflow at p * x = 1400
-        assert exp_mean([700.0, 699.0], None, 2.0) == pytest.approx(700.0, abs=0.5)
+        assert exp_mean([700.0, 699.0], 2.0) == pytest.approx(700.0, abs=0.5)
 
     def test_agrees_with_naive_formula_when_safe(self):
-        values, weights, p = [0.3, 1.2, 2.0], [0.2, 0.5, 1.0], -1.7
-        naive = math.log(
-            sum(w * math.exp(p * v) for v, w in zip(values, weights)) / sum(weights)
-        ) / p
-        assert exp_mean(values, weights, p) == pytest.approx(naive)
+        values, p = [0.3, 1.2, 2.0], -1.7
+        naive = math.log(sum(math.exp(p * v) for v in values) / len(values)) / p
+        assert exp_mean(values, p) == pytest.approx(naive)
 
     def test_all_zero_weights_rejected(self):
-        with pytest.raises(ParameterError):
-            exp_mean([1.0], [0.0], 1.0)
         with pytest.raises(ParameterError, match="NaN value"):
-            exp_mean([1.0, math.nan], None, 2.0)
-        with pytest.raises(ParameterError, match="NaN weight"):
-            exp_mean([1.0, 2.0], [1.0, math.nan], 2.0)
+            exp_mean([1.0, math.nan], 2.0)
 
-    @pytest.mark.parametrize("values, weights, p, limit", [
-        ([1.0, 2.0], None, 1e308, 2.0),
-        ([-1.0, -2.0], None, -1e308, -2.0),
-        ([-2.0, -3.0], None, 1e308, -2.0),  # every p * x overflows to -inf
-        ([1.0, 2.0, 5.0], [1.0, 1.0, 0.0], 1e308, 2.0),  # a zero weight drops 5.0
+    @pytest.mark.parametrize("values, p, limit", [
+        ([1.0, 2.0], 1e308, 2.0),
+        ([-1.0, -2.0], -1e308, -2.0),
+        ([-2.0, -3.0], 1e308, -2.0),  # every p * x overflows to -inf
     ])
-    def test_overflowing_exponent_gives_the_limit(self, values, weights, p, limit):
+    def test_overflowing_exponent_gives_the_limit(self, values, p, limit):
         # p * x overflows: the mean was nan
-        assert exp_mean(values, weights, p) == limit
+        assert exp_mean(values, p) == limit
+
+    # the sum of the values overflowed: fsum raised OverflowError
+    def test_arithmetic_mean_whose_sum_overflows(self):
+        assert exp_mean([1e308, 1e308], 0.0) == 1e308
+        assert exp_mean([1e308, 1e308, -1.0], 0.0) == float((2 * Fraction(1e308) - 1) / 3)
+        assert _exp_mean_rows(np.array([[1e308, 1e308]]), 0.0).tolist() == [1e308]
+
+    # fsum raised a bare ValueError
+    def test_opposite_infinities_have_no_arithmetic_mean(self):
+        with pytest.raises(ParameterError, match=r"\+inf and -inf"):
+            exp_mean([INF, -INF], 0.0)
 
     @pytest.mark.parametrize("p", [5e-324, -5e-324])
     def test_subnormal_order_stays_within_range(self, p):
-        assert 0.125 <= exp_mean([0.75, 0.125], None, p) <= 0.75
+        assert 0.125 <= exp_mean([0.75, 0.125], p) <= 0.75
 
     def test_values_whose_difference_overflows(self):
         # 1e308 - (-1e308) overflows: the mean is log(cosh(0.01)) / 1e-310
         expected = 4.99991666888880627e305  # from a 60-digit evaluation
-        assert exp_mean([1e308, -1e308], None, 1e-310) == pytest.approx(expected, rel=1e-12)
+        assert exp_mean([1e308, -1e308], 1e-310) == pytest.approx(expected, rel=1e-12)
 
     def test_difference_overflow_beside_an_infinite_value(self):
         # 1e308 - (-1e308) overflows, and the largest value is inf, whose
         # e^(p v) is 0 at this order
         expected = -9.8901387711331891437e307  # from an 80-digit evaluation
-        assert exp_mean([INF, -1e308, 1e308], None, -1e-306) == pytest.approx(expected, rel=1e-12)
+        assert exp_mean([INF, -1e308, 1e308], -1e-306) == pytest.approx(expected, rel=1e-12)
 
     # an infinite value's v - m is inf or nan: the first case ran out of
     # recursion halving the values, and [inf] at order -1 was nan
@@ -216,7 +215,7 @@ class TestExpMean:
         ([-INF, 0.0], -1.0, -INF),
     ])
     def test_infinite_values(self, values, p, expected):
-        assert exp_mean(values, None, p) == pytest.approx(expected, rel=1e-15)
+        assert exp_mean(values, p) == pytest.approx(expected, rel=1e-15)
 
     # e^v rounds by about 1e-16 relative, which log turns into an absolute
     # error, and where the mean cancels both forms are off by some ulps of the
@@ -224,15 +223,12 @@ class TestExpMean:
     @settings(max_examples=300)
     @given(
         values=st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=6),
-        data=st.data(),
         p=st.one_of(st.floats(-50.0, 50.0),
                     st.sampled_from([0.0, 1e-3, -1e-3, 1e-300, -1e-300, 1e300, INF, -INF])),
     )
-    def test_is_the_log_of_the_power_mean_of_the_exponentials(self, values, data, p):
-        weights = data.draw(st.none() | st.lists(st.floats(0.5, 2.0), min_size=len(values),
-                                                 max_size=len(values)))
-        got = exp_mean(values, weights, p)
-        want = math.log(power_mean([math.exp(v) for v in values], weights, p))
+    def test_is_the_log_of_the_power_mean_of_the_exponentials(self, values, p):
+        got = exp_mean(values, p)
+        want = math.log(power_mean([math.exp(v) for v in values], p))
         scale = max(1.0, max(map(abs, values)))
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
