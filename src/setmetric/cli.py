@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 from functools import partial
@@ -317,7 +318,9 @@ def cmd_estimate(args) -> int:
     print(f"sample_a {result.size_a}")
     print(f"sample_b {result.size_b}")
     print(f"reference {format_scalar(reference)}")
-    rel = abs(result.value - reference) / abs(reference) if reference != 0 else 0.0
+    # against a reference of 0 or inf: 0 for the same value, else 1, the limit
+    rel = (abs(result.value - reference) / abs(reference) if 0 < abs(reference) < math.inf
+           else float(result.value != reference))
     print(f"relative_error {format_scalar(rel)}")
     return 0
 

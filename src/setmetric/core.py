@@ -24,9 +24,10 @@ it with their own inner distance.
 Every finite-set distance above reads one matrix of cross distances d(x, y).
 Small matrices are evaluated pair by pair through ``distance``; from
 ``_BLOCK_MIN_PAIRS`` pairs on, under a Euclidean or table metric,
-``_cross_rows`` produces the matrix with numpy, in chunks of rows. Sums over
-it are one ``math.fsum``; minima are evaluated again through ``distance``
-where the block cannot tell them apart, so they are exact.
+``_cross_rows`` produces the matrix with numpy, in chunks of rows. Every
+average, here and in the other modules, is one ``_quotient`` of a sum,
+finite wherever its exact value is; minima are evaluated again through
+``distance`` where the block cannot tell them apart, so they are exact.
 
 numpy is imported inside the functions that use it: the block path, the
 payload table and ``MatrixMetric`` validation. The scalar path never loads it.
@@ -314,6 +315,11 @@ class LpMetric(BaseMetric):
         return total ** (1.0 / self.p)
 
 
+# The most ids a distance table accepts: validating its n^3 triangles took
+# 2.7 s and 100 MB at 1,000 ids on a 2-vCPU VM.
+MAX_TABLE_IDS = 1000
+
+
 class MatrixMetric(BaseMetric):
     """Explicit symmetric distance table over ids, axiom-checked on load.
 
@@ -335,8 +341,8 @@ class MatrixMetric(BaseMetric):
         if len(set(ids)) != len(ids):
             raise ParameterError("matrix metric ids must be unique")
         n = len(ids)
-        if n == 0:
-            raise ParameterError("matrix metric needs at least one id")
+        if not 0 < n <= MAX_TABLE_IDS:
+            raise ParameterError(f"matrix metric needs from 1 to {MAX_TABLE_IDS:,} ids, got {n:,}")
         rows = tuple(tuple(float(v) for v in row) for row in values)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ParameterError(f"matrix metric table must be {n}x{n}")
@@ -531,23 +537,41 @@ def min_cross_distance(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     return min(m.distance(x, y) for x in a.elements() for y in eb)
 
 
-def _ground_sum(m: BaseMetric, registry: ElementRegistry, xs: Collection, ys: Collection) -> float:
+def _quotient(terms: Callable[[], Iterable[float]], d: int) -> float:
+    """fsum(terms()) / d, the sum correctly rounded, for a count d > 0.
+
+    Where the sum overflows, ``terms()``, a fresh iterable on each call, is
+    summed again at 2^-64, where fewer than 2^64 finite terms cannot
+    overflow, and the quotient is scaled back: exact for terms from 2^-958
+    on, and inf only where the exact quotient passes the largest float.
+    """
+    try:
+        return math.fsum(terms()) / d
+    except OverflowError:
+        return math.fsum(math.ldexp(v, -64) for v in terms()) / d * 2.0**64
+
+
+def _ground_terms(
+    m: BaseMetric, registry: ElementRegistry, xs: Collection, ys: Collection
+) -> Iterable[float]:
+    """d(x, y) over ``xs`` × ``ys``, from the block a chunk at a time if it is taken."""
     rows = _cross_rows(m, registry, xs, ys)
     if rows is not None:
-        return math.fsum(itertools.chain.from_iterable(c.ravel().tolist() for c in rows))
+        return itertools.chain.from_iterable(c.ravel().tolist() for c in rows)
     element = registry.element  # resolve each id once, not once per pair
     ey = [element(y) for y in ys]
-    return math.fsum(m.distance(x, y) for x in map(element, xs) for y in ey)
+    return (m.distance(x, y) for x in map(element, xs) for y in ey)
 
 
 def pair_sum(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     """Sum of all pairwise ground distances; empty operands contribute 0.
 
+    Correctly rounded, and inf where the exact sum passes the largest float.
     Additive over disjoint decompositions of either side, which is what the
     average-based distances lean on.
     """
     _require_same_registry("pair_sum", a, b)
-    return _ground_sum(m, a.registry, a.members, b.members)
+    return _quotient(lambda: _ground_terms(m, a.registry, a.members, b.members), 1)
 
 
 def _triangle_surplus_raw(m: BaseMetric, a: FiniteSet, b: FiniteSet, c: FiniteSet) -> float:
@@ -563,40 +587,40 @@ def triangle_surplus(m: BaseMetric, a: FiniteSet, b: FiniteSet, c: FiniteSet) ->
 
     Non-negative whenever the ground distance satisfies the triangle
     inequality; deliberately not clamped so violations of a non-metric
-    ground distance stay visible.
+    ground distance stay visible. A ``DomainError`` where a pair sum or a
+    product passes the largest float, as their difference is then unknown.
     """
     _require_same_registry("triangle_surplus", a, b, c)
     _require_nonempty("triangle_surplus", a, b, c)
-    return _triangle_surplus_raw(m, a, b, c)
+    surplus = _triangle_surplus_raw(m, a, b, c)
+    if not math.isfinite(surplus):
+        raise DomainError("triangle_surplus overflows: a pair sum passes the largest float")
+    return surplus
 
 
 def group_average(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     """Mean cross-distance s(A,B) / (|A| |B|); self-distance may be nonzero."""
     _require_same_registry("group_average", a, b)
     _require_nonempty("group_average", a, b)
-    return pair_sum(m, a, b) / (len(a) * len(b))
+    return _quotient(lambda: _ground_terms(m, a.registry, a.members, b.members), len(a) * len(b))
 
 
 def _set_average(
-    a: Collection, b: Collection, cross_sum: Callable, difference: Callable = operator.sub
+    a: Collection, b: Collection, cross_terms: Callable, difference: Callable = operator.sub
 ) -> float:
     """The average-distance construction on two non-empty collections,
     s(A, B\\A) / (|A∪B| |A|) + s(A\\B, B) / (|A∪B| |B|), where
-    ``cross_sum(xs, ys)`` is s, the sum of inner distances over xs × ys."""
+    ``cross_terms(xs, ys)`` returns the inner distances over xs × ys, or
+    partial sums of them, as a fresh iterable for ``_quotient``."""
     b_only = difference(b, a)
     a_only = difference(a, b)
     n_union = len(a) + len(b_only)
     total = 0.0
     if len(b_only):
-        total += cross_sum(a, b_only) / (n_union * len(a))
+        total += _quotient(functools.partial(cross_terms, a, b_only), n_union * len(a))
     if len(a_only):
-        total += cross_sum(a_only, b) / (n_union * len(b))
+        total += _quotient(functools.partial(cross_terms, a_only, b), n_union * len(b))
     return total
-
-
-def _fsum_cross(distance: Callable) -> Callable:
-    """A ``cross_sum`` for ``_set_average`` from an inner distance on pairs."""
-    return lambda xs, ys: math.fsum(distance(x, y) for x in xs for y in ys)
 
 
 def average_metric(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
@@ -612,7 +636,7 @@ def average_metric(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     _require_same_registry("average_metric", a, b)
     _require_nonempty("average_metric", a, b)
     return _set_average(
-        a, b, functools.partial(_ground_sum, m, a.registry), difference=_members_not_in
+        a, b, functools.partial(_ground_terms, m, a.registry), difference=_members_not_in
     )
 
 
@@ -626,12 +650,15 @@ def semi_metric(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
 
     Non-negative, zero on equal sets, symmetric; the triangle inequality is
     not guaranteed (see the chained-overlap sampler in ``axioms`` for the
-    family of counterexamples).
+    family of counterexamples). Computed without a subtraction, as
+    (s(A\\B, B) + s(A∩B, B\\A)) / (|A| |B|), one ``_quotient``.
     """
     _require_same_registry("semi_metric", a, b)
     _require_nonempty("semi_metric", a, b)
-    shared = a.intersection(b)
-    return (pair_sum(m, a, b) - pair_sum(m, shared, shared)) / (len(a) * len(b))
+    terms = functools.partial(_ground_terms, m, a.registry)
+    a_only, shared, b_only = _members_not_in(a, b), a.intersection(b).members, _members_not_in(b, a)
+    return _quotient(lambda: itertools.chain(terms(a_only, b.members), terms(shared, b_only)),
+                     len(a) * len(b))
 
 
 def hausdorff(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
@@ -27,7 +26,6 @@ from .core import (
     ElementId,
     ElementRegistry,
     FiniteSet,
-    _fsum_cross,
     _id_sort_key,
     _require_scale,
     _row_chunks,
@@ -108,7 +106,8 @@ def nested_average_metric(
     def distance(x: NestedSet, y: NestedSet) -> float:
         if x.level == 1:
             return average_metric(m, flat(x), flat(y))
-        return _set_average(x.value, y.value, _fsum_cross(distance))
+        return _set_average(x.value, y.value,
+                            lambda xs, ys: itertools.starmap(distance, itertools.product(xs, ys)))
 
     return distance(a, b)
 
@@ -171,10 +170,10 @@ def duality_ratio(
         # lam |s ^ t| / |s | t|, the same float operations as on Python sets
         return lam * popcount[np.bitwise_xor.outer(s, t)] / popcount[np.bitwise_or.outer(s, t)]
 
-    def inner(xs: frozenset, ys: frozenset) -> float:
+    def inner(xs: frozenset, ys: frozenset) -> Iterator[float]:
         s, t = np.fromiter(xs, np.int64, len(xs)), np.fromiter(ys, np.int64, len(ys))
         chunks = _row_chunks(scaled_jaccard, s, t)
-        return math.fsum(itertools.chain.from_iterable(c.ravel().tolist() for c in chunks))
+        return itertools.chain.from_iterable(c.ravel().tolist() for c in chunks)
 
     table = []
     ratios = []

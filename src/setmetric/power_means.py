@@ -11,8 +11,8 @@ numerically near the limit. Both means are one algebra, the exponential mean
 of v being the log of the power mean of e^v, and one kernel, ``_log_scale``,
 accumulates both in the log domain relative to the factored extreme value,
 so large ``p * x`` cannot overflow. Every arithmetic mean, of the values,
-their logs or the kernel's terms, is ``_mean``, which cannot overflow where
-the mean is finite.
+their logs or the kernel's terms, is ``core._quotient`` over the count,
+which cannot overflow where the mean is finite.
 
 Composing means over a pair of finite sets yields a two-parameter family
 that specializes to the average-distance metric (both orders at their
@@ -42,6 +42,7 @@ from .core import (
     ElementId,
     FiniteSet,
     _cross_rows,
+    _quotient,
     _require_nonempty,
     _require_same_registry,
     _require_scale,
@@ -69,16 +70,9 @@ def _validated(values: Sequence[float], nonneg: bool) -> list[float]:
 
 
 def _mean(values: list[float]) -> float:
-    """The arithmetic mean, from one correctly rounded ``math.fsum``. Where the
-    sum overflows, the values are summed at 2^-k, k the bit length of n, where
-    n finite values cannot overflow, and the mean is scaled back."""
-    n = len(values)
+    """The arithmetic mean: ``_quotient`` of the values over their count."""
     try:
-        try:
-            return math.fsum(values) / n
-        except OverflowError:
-            k = n.bit_length()
-            return math.ldexp(math.fsum([math.ldexp(v, -k) for v in values]) / n, k)
+        return _quotient(values.__iter__, len(values))
     except ValueError:
         raise ParameterError("mean of both +inf and -inf") from None
 

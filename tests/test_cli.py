@@ -172,6 +172,20 @@ def test_malformed_workspace_exits_2(tmp_path, doc, argv):
     assert "Traceback" not in result.stderr
 
 
+# a valid pseudo-metric table of 1,001 ids loaded, in about 3 s and 100 MB
+def test_table_above_the_id_limit_exits_2(tmp_path):
+    doc = {
+        "metric": {"kind": "matrix", "ids": [str(k) for k in range(1001)], "pseudo": True,
+                   "values": [[0] * 1001] * 1001},
+        "elements": {"0": None}, "sets": {"A": ["0"]},
+    }
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("dist", "--workspace", str(path), "--family", "j", "A", "A")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "from 1 to 1,000 ids, got 1,001" in result.stderr
+
+
 # f printed inf, and u exited 2 with the misleading "mean of a NaN value"
 @pytest.mark.parametrize("argv", [
     ["--family", "f", "A", "B"],
@@ -238,9 +252,28 @@ def test_inner_mean_over_an_infinite_distance(tmp_path, argv):
     assert (result.returncode, result.stdout, result.stderr) == (0, "inf\n", "")
 
 
-# Each mean of cells of 1e308 overflowed math.fsum, a traceback, and loading
-# the table printed "RuntimeWarning: overflow encountered in add"
-@pytest.mark.parametrize("family, stdout", [("u", "1e+308\n"), ("v", "5e+307\n"), ("j", "1\n")])
+# the reference f(A, B) is inf, as math.dist(a, b) is: relative_error was
+# inf / inf, printed nan
+def test_estimate_against_an_infinite_reference(tmp_path):
+    doc = {
+        "metric": {"kind": "euclidean"},
+        "elements": {"a": [1.7e308], "b": [-1.7e308], "c": [0.0]},
+        "sets": {"A": ["a", "c"], "B": ["b", "c"]},
+    }
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("estimate", "--workspace", str(path), "A", "B", "--n", "50", "--seed", "0")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "estimate inf\nsample_a 2\nsample_b 2\nreference inf\nrelative_error 0\n"
+
+
+# Each mean and each average of cells of 1e308 overflowed math.fsum, a
+# traceback, and loading the table printed "RuntimeWarning: overflow
+# encountered in add"
+@pytest.mark.parametrize("family, stdout", [
+    ("u", "1e+308\n"), ("v", "5e+307\n"), ("j", "1\n"),
+    ("f", "1e+308\n"), ("g", "1e+308\n"), ("e", "1e+308\n"), ("fk", "1e+308\n"),
+])
 def test_table_of_distances_near_the_largest_float(tmp_path, family, stdout):
     doc = {
         "metric": {"kind": "matrix", "ids": ["a", "b", "c"],
@@ -254,20 +287,39 @@ def test_table_of_distances_near_the_largest_float(tmp_path, family, stdout):
     assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
 
 
+# Every distance here is finite; the sums behind f, g and e overflowed
+# math.fsum, a traceback. At ±1.7e308, math.dist(a, b) is inf, but no pair
+# that e sums holds it: e printed nan, as inf - inf.
+@pytest.mark.parametrize("elements, sets, family, stdout", [
+    *[({"a": [1e308], "b": [-1e307], "c": [-2e307]}, {"A": ["a"], "B": ["b", "c"]},
+       family, "1.15e+308\n") for family in ("f", "g", "e")],
+    ({"a": [1.7e308], "b": [-1.7e308], "c": [0.0]}, {"A": ["a", "b"], "B": ["a", "b", "c"]},
+     "e", "5.66666666667e+307\n"),
+])
+def test_euclidean_sets_near_the_largest_float(tmp_path, elements, sets, family, stdout):
+    doc = {"metric": {"kind": "euclidean"}, "elements": elements, "sets": sets}
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("dist", "--workspace", str(path), "--family", family, "A", "B")
+    assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
+
+
 EXTREME_INTERVALS = {
     "metric": {"kind": "euclidean"},
     "elements": {},
     "intervals": {"I": [[-1e300, 0]], "K": [[-1e300, 1]], "WIDE": [[-1e200, 1e200]],
-                  "SHORT": [[0, 0.5]]},
+                  "SHORT": [[0, 0.5]], "TINY": [[0, 1e-300]]},
 }
 
 
 # interval printed -inf, and estimate printed "reference inf" and
-# "relative_error nan"; all exited 0
+# "relative_error nan"; all exited 0. Around TINY, interval exited 3 with
+# "the bounds differ too widely in scale".
 @pytest.mark.parametrize("argv, stdout", [
     (["dist", "--family", "interval", "WIDE", "SHORT"], "5e+199\n"),
     (["estimate", "I", "K", "--n", "1", "--seed", "0", "--population", "K"],
      "estimate 0\nsample_a 1\nsample_b 1\nreference 0.5\nrelative_error 1\n"),
+    (["dist", "--family", "interval", "TINY", "WIDE"], "5e+199\n"),
 ])
 def test_interval_distances_at_extreme_bounds(tmp_path, argv, stdout):
     path = tmp_path / "workspace.json"

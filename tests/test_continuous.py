@@ -6,11 +6,13 @@ quadrature, so the closed forms never have to vouch for themselves.
 
 import functools
 import math
+import operator
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -255,6 +257,11 @@ class TestIntervalMetric:
         with pytest.raises(NullMeasureError):
             interval_average_metric(U((1, 1)), U((2, 2)))
 
+    @pytest.mark.parametrize("a, b", [(U(), U((0, 1))), (U((0, 1)), U((2, 2)))])
+    def test_null_operand_rejected(self, a, b):
+        with pytest.raises(NullMeasureError):
+            interval_average_metric(a, b)
+
     def test_closed_form_examples(self):
         assert interval_metric_closed_form(Interval(0, 1), Interval(2, 3)) == 2.0
         assert interval_metric_closed_form(Interval(0, 1), Interval(0, 1)) == 0.0
@@ -344,11 +351,84 @@ class TestExtremeBounds:
         a, b = scaled_up(a, -100), scaled_up(b, -100)
         assert value == math.ldexp(estimate_average_metric(a, b, SamplePlan(a, n=50, seed=0)).value, 100)
 
-    # no scaling keeps a part of length 1e-300 and a product of two lengths
-    # near 1e615 both in range: that is an error, not inf
+    # A part of length 1e-300 beside an extent of 8e307: the cubic integral
+    # form had no scaling that kept both in range, a DomainError, and the
+    # closed form overflowed on s*i before the short interval emptied.
     def test_bounds_too_far_apart_in_scale(self):
-        with pytest.raises(DomainError, match="differ too widely in scale"):
-            interval_average_metric(U((0, 1e-300)), U((-4e307, 4e307)))
+        assert interval_average_metric(U((0, 1e-300)), U((-4e307, 4e307))) == 2e307
+        assert interval_metric_closed_form(Interval(0, 1e-300), Interval(-1e200, 1e200)) == 5e199
+
+    # mu(B\A) / mu(A∪B) = 2.5e-598 underflowed to 0, so f(A, B) was 0 for A != B
+    def test_a_share_below_the_smallest_float_still_counts(self):
+        a, b = U((0, 4e307)), U((-1e-290, -1e-300), (0, 4e307))
+        assert interval_average_metric(a, b) == pytest.approx(4.9999999995e-291, rel=1e-15, abs=0)
+
+
+def exact_integral(a_parts, b_parts) -> Fraction:
+    """The double integral of |x - y| over the parts, in rationals:
+    |t|^3 / 6 is a second antiderivative of |t|."""
+    def g(t):
+        return abs(t) ** 3 / 6
+
+    total = Fraction(0)
+    for a in a_parts:
+        a1, a2 = Fraction(a.lo), Fraction(a.hi)
+        for b in b_parts:
+            b1, b2 = Fraction(b.lo), Fraction(b.hi)
+            total += g(b2 - a1) + g(b1 - a2) - g(b2 - a2) - g(b1 - a1)
+    return total
+
+
+def exact_measure(parts) -> Fraction:
+    return sum((Fraction(p.hi) - Fraction(p.lo) for p in parts), Fraction(0))
+
+
+def exact_metric(a_parts, b_parts) -> Fraction:
+    """f(A, B) from the definition, with the reference set algebra."""
+    b_only, a_only = reference_difference(b_parts, a_parts), reference_difference(a_parts, b_parts)
+    return (exact_integral(a_parts, b_only) / exact_measure(a_parts)
+            + exact_integral(a_only, b_parts) / exact_measure(b_parts)
+            ) / exact_measure(reference_canonical(a_parts + b_parts))
+
+
+def ulps_off(value: float, exact: Fraction) -> Fraction:
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+# Parts at mixed scales: lengths from 1e-300 to 4e307 beside each other.
+MIXED_LO = st.one_of(st.sampled_from([0.0, -1.0, 1e-300, 1e200, -1e200, 4e307, -4e307]),
+                     st.floats(-1e3, 1e3), st.floats(-4e307, 4e307))
+MIXED_LENGTH = st.builds(operator.mul, st.sampled_from([1e-300, 1e-10, 1.0, 1e200, 4e307]),
+                         st.one_of(st.just(1.0), st.floats(0.25, 1.0)))
+MIXED_PART = st.builds(lambda lo, length: Interval(lo, min(lo + length, 2.0**1022)),
+                       MIXED_LO, MIXED_LENGTH)
+MIXED_UNION = st.lists(MIXED_PART, min_size=1, max_size=4).map(
+    lambda parts: IntervalUnion(tuple(parts))).filter(lambda u: u.measure > 0)
+
+
+# The bounds in the docstrings: each distance is within 4 ulps of the exact
+# rational value (largest seen in 62,000 random cases: 3.4 ulps for the group
+# average, 2.9 for the metric, 2.6 for the closed form under containment).
+class TestExactOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(MIXED_UNION, MIXED_UNION)
+    @example(U((0, 1e-300)), U((-4e307, 4e307)))
+    @example(U((0, 4e307)), U((-1e-290, -1e-300), (0, 4e307)))
+    def test_union_distances(self, a, b):
+        exact = exact_integral(a.parts, b.parts) / (exact_measure(a.parts) * exact_measure(b.parts))
+        assert ulps_off(interval_group_average(a, b), exact) <= 4
+        assert ulps_off(interval_average_metric(a, b), exact_metric(a.parts, b.parts)) <= 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(MIXED_PART, st.floats(0, 1), st.floats(0, 1))
+    def test_closed_form_under_containment(self, outer, t1, t2):
+        # the inner interval at fractions t1 and t2 of the outer one
+        lo, hi = sorted(min(max(outer.lo + outer.length * t, outer.lo), outer.hi) for t in (t1, t2))
+        inner = Interval(lo, hi)
+        assume(0 < inner.length and inner != outer)
+        exact = exact_metric((outer,), (inner,))
+        assert ulps_off(interval_metric_closed_form(outer, inner), exact) <= 4
+        assert ulps_off(interval_metric_closed_form(inner, outer), exact) <= 4
 
 
 class TestSteinhaus:

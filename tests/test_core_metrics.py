@@ -31,6 +31,7 @@ from setmetric import (
     triangle_surplus,
 )
 from setmetric.axioms import random_point_registry, subset_triple_sampler
+from setmetric.core import MAX_TABLE_IDS
 
 
 def brute_pair_sum(m, a, b):
@@ -156,6 +157,10 @@ class TestBaseMetrics:
         m = MatrixMetric(["a", "b"], [[0, 1], [1, 0]])
         with pytest.raises(UnknownIdError):
             m.distance(Element("a"), Element("zz"))
+
+    def test_matrix_id_limit_checked_before_the_table(self):
+        with pytest.raises(ParameterError, match="from 1 to 1,000 ids, got 1,001"):
+            MatrixMetric(range(MAX_TABLE_IDS + 1), [])
 
 
 def reference_matrix_check(ids, values, pseudo=False, tolerance=1e-12):
@@ -303,6 +308,12 @@ class TestPairSum:
             a, b, _ = sampler(rng)
             assert pair_sum(euclid, a, b) == pytest.approx(brute_pair_sum(euclid, a, b))
 
+    # fsum raised OverflowError
+    def test_sum_past_the_largest_float_is_inf(self, line_registry):
+        m = DiscreteMetric(1e308)
+        assert pair_sum(m, line_registry.set_of([0]), line_registry.set_of([1])) == 1e308
+        assert pair_sum(m, line_registry.set_of([0]), line_registry.set_of([1, 2])) == math.inf
+
 
 class TestTriangleSurplus:
     def test_collinear_equality_case(self, line_registry, euclid):
@@ -330,6 +341,13 @@ class TestTriangleSurplus:
         with pytest.raises(EmptySetError):
             triangle_surplus(euclid, line_registry.set_of([]),
                              line_registry.set_of([1]), line_registry.set_of([2]))
+
+    # a pair sum raised OverflowError, and |C| s(A, B) = inf made inf - inf = nan
+    @pytest.mark.parametrize("c", [[2, 3], [2]])
+    def test_overflow_is_a_domain_error(self, line_registry, c):
+        a, b = line_registry.set_of([0]), line_registry.set_of([1])
+        with pytest.raises(DomainError, match="passes the largest float"):
+            triangle_surplus(DiscreteMetric(1e308), a, b, line_registry.set_of(c))
 
 
 class TestGroupAverage:

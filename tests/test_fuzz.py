@@ -19,7 +19,8 @@ from setmetric.workspace import WorkspaceError, parse_workspace
 IDS = ["x", "y", "z", "w"]
 SETS, INTERVALS, FUZZY = ["A", "B", "C"], ["I", "J", "K"], ["F", "G"]
 
-extremes = st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e300, -1e300, 5e-324, 1e-300])
+extremes = st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e300, -1e300, 1e308, 1.7e308, -1.7e308,
+                            5e-324, 1e-300])
 scalars = st.one_of(extremes, st.floats(-1e3, 1e3), st.floats(allow_nan=True, allow_infinity=True))
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), scalars, st.integers(-3, 3), st.text(max_size=3)),
@@ -48,7 +49,9 @@ def documents(draw):
         metric["p"] = draw(st.sampled_from([1.0, 3.0, 1e300]))
     elif kind == "matrix":
         grid = draw(st.lists(st.integers(0, 3), min_size=len(IDS), max_size=len(IDS)))
-        metric.update(ids=IDS, pseudo=True, values=[[abs(a - b) * 0.5 for b in grid] for a in grid])
+        unit = draw(st.sampled_from([0.5, 1e308 / 3]))  # cells up to 1e308
+        values = [[abs(a - b) * unit for b in grid] for a in grid]
+        metric.update(ids=IDS, pseudo=True, values=values)
     doc = {
         "metric": metric,
         "elements": {eid: draw(st.lists(coordinate, min_size=dim, max_size=dim)) for eid in IDS},
