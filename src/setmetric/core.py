@@ -673,6 +673,14 @@ def hausdorff(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
         return max(_max_min(m, a.registry, a.members, b.members, rows),
                    _max_min(m, a.registry, b.members, a.members, rows_ba))
     ea, eb = a.elements(), b.elements()
+    if m.symmetric:
+        # one pass: d(y, x) is d(x, y), so the column minima give d(B, A)
+        row_minima, column_minima = [], None
+        for x in ea:
+            row = [m.distance(x, y) for y in eb]
+            row_minima.append(min(row))
+            column_minima = row if column_minima is None else list(map(min, column_minima, row))
+        return max(max(row_minima), max(column_minima))
     d_ab = max(min(m.distance(x, y) for y in eb) for x in ea)
     d_ba = max(min(m.distance(y, x) for x in ea) for y in eb)
     return max(d_ab, d_ba)

@@ -28,7 +28,6 @@ from .core import (
     FiniteSet,
     _id_sort_key,
     _require_scale,
-    _row_chunks,
     _set_average,
     average_metric,
 )
@@ -151,7 +150,6 @@ def duality_ratio(
     lies in (0, 1), and returns ``(ratio, table)`` where the table rows are
     ``(id_a, id_b, level2_distance)`` in sorted pair order.
     """
-    import numpy as np
     if not 2 <= len(x) <= 12:
         raise ParameterError(
             f"duality experiment needs a ground set of 2..12 elements, got {len(x)}"
@@ -164,16 +162,10 @@ def duality_ratio(
         eid: frozenset(sum(map(bit.__getitem__, s)) for s in _subsets_containing(eid, members))
         for eid in members
     }
-    popcount = np.array([bin(mask).count("1") for mask in range(1 << len(members))])
-
-    def scaled_jaccard(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # lam |s ^ t| / |s | t|, the same float operations as on Python sets
-        return lam * popcount[np.bitwise_xor.outer(s, t)] / popcount[np.bitwise_or.outer(s, t)]
 
     def inner(xs: frozenset, ys: frozenset) -> Iterator[float]:
-        s, t = np.fromiter(xs, np.int64, len(xs)), np.fromiter(ys, np.int64, len(ys))
-        chunks = _row_chunks(scaled_jaccard, s, t)
-        return itertools.chain.from_iterable(c.ravel().tolist() for c in chunks)
+        # lam |s ^ t| / |s | t|, the same float operations as on Python sets
+        return (lam * (s ^ t).bit_count() / (s | t).bit_count() for s in xs for t in ys)
 
     table = []
     ratios = []

@@ -1,7 +1,8 @@
-"""Cold start: commands on small operands run without importing numpy.
+"""Cold start: commands on small operands run without importing numpy, and
+the CLI imports no process pool until a `verify` of several suites.
 
-Each case runs in a fresh interpreter, since numpy stays in ``sys.modules``
-once any test of this process has imported it.
+Each case runs in a fresh interpreter, since a module stays in
+``sys.modules`` once any test of this process has imported it.
 """
 
 import json
@@ -30,10 +31,10 @@ LARGE = {
 }
 
 
-def numpy_loaded(statements: str) -> bool:
+def module_loaded(statements: str, module: str = "numpy") -> bool:
     """Run ``statements`` in a fresh interpreter with ``src`` on the path and
-    report whether numpy was imported by the end."""
-    script = f"{statements}\nimport sys\nprint('numpy' in sys.modules)"
+    report whether ``module`` was imported by the end."""
+    script = f"{statements}\nimport sys\nprint({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True)
@@ -57,7 +58,13 @@ def workspaces(tmp_path_factory):
 
 @pytest.mark.parametrize("statements", ["import setmetric", "import setmetric.cli"])
 def test_import_does_not_load_numpy(statements):
-    assert not numpy_loaded(statements)
+    assert not module_loaded(statements)
+
+
+@pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
+def test_cli_import_does_not_load_a_process_pool(module):
+    # only a `verify` of several suites loads one
+    assert not module_loaded("import setmetric.cli", module)
 
 
 @pytest.mark.parametrize("argv", [
@@ -70,14 +77,19 @@ def test_import_does_not_load_numpy(statements):
 ], ids=["dist-f", "dist-h", "matrix-f", "matrix-u", "matrix-steinhaus", "matrix-interval"])
 def test_small_workspace_commands_do_not_load_numpy(workspaces, argv):
     argv = [argv[0], "--workspace", workspaces["small"], *argv[1:]]
-    assert not numpy_loaded(cli_run(argv))
+    assert not module_loaded(cli_run(argv))
 
 
 def test_random_axiom_check_does_not_load_numpy():
-    assert not numpy_loaded(cli_run(["axioms", "--random", "--family", "f", "--n", "20"]))
+    assert not module_loaded(cli_run(["axioms", "--random", "--family", "f", "--n", "20"]))
+
+
+@pytest.mark.parametrize("suite", ["identities", "appendixA", "appendixB", "duality", "interval"])
+def test_verify_suites_do_not_load_numpy(suite):
+    assert not module_loaded(cli_run(["verify", "--suite", suite]))
 
 
 def test_block_sized_operands_load_numpy(workspaces):
     # the block path is still taken from 256 pairs on
     argv = ["dist", "--workspace", workspaces["large"], "--family", "f", "A", "B"]
-    assert numpy_loaded(cli_run(argv))
+    assert module_loaded(cli_run(argv))

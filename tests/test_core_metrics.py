@@ -453,6 +453,28 @@ class TestHausdorff:
         m = DiscreteMetric(2.0)
         assert hausdorff(m, line_registry.set_of([0, 1]), line_registry.set_of([1, 2])) == 2.0
 
+    @pytest.mark.parametrize("symmetric, calls", [(True, 6), (False, 12)])
+    def test_one_pass_under_a_symmetric_metric(self, line_registry, symmetric, calls):
+        # on the scalar path, each pair is evaluated once where d(x, y) is
+        # d(y, x) bit for bit, and in both orders otherwise
+        class Counting(EuclideanMetric):
+            def distance(self, x, y):
+                seen.append((x.id, y.id))
+                return super().distance(x, y)
+
+        Counting.symmetric = symmetric
+        seen = []
+        a, b = line_registry.set_of([0, 1]), line_registry.set_of([1, 2, 6])
+        # each direction decides once: 6 is 5 from A, no member of A is over 1 from B
+        assert (hausdorff(Counting(), a, b), hausdorff(Counting(), b, a)) == (5.0, 5.0)
+        assert len(seen) == 2 * calls
+
+    def test_one_pass_fails_at_the_first_pair(self):
+        registry = ElementRegistry({"a": (0.0,), "b": (1.0,), "c": (2.0,), "d": (0.0, 0.0)})
+        a, b = registry.set_of(["a", "b"]), registry.set_of(["c", "d"])
+        with pytest.raises(DomainError, match="^dimension mismatch: 'a' has 1 coordinates, 'd' has 2$"):
+            hausdorff(EuclideanMetric(), a, b)
+
 
 class TestJaccardAndSymdiff:
     def test_two_thirds(self, line_registry):
