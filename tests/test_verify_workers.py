@@ -43,7 +43,8 @@ def test_suites_run_on_workers_that_are_reaped(capsys, monkeypatch):
     rows = out.splitlines()[:-1]
     assert [row.split("]")[0][1:] for row in rows] == list(SUITES)
     pids = {int(row.split("pid ")[1].split(":")[0]) for row in rows}
-    assert len(pids) == 2 and os.getpid() not in pids
+    # a worker may take every suite before the other one starts
+    assert len(pids) <= 2 and os.getpid() not in pids
     for pid in pids:  # not running, and not a zombie either
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
