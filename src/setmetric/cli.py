@@ -18,7 +18,7 @@ import random
 import sys
 import threading
 from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterator, NamedTuple
 
 from .axioms import (
     MAX_COORDINATES,
@@ -80,12 +80,6 @@ def _extended_real(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a number, 'inf' or '-inf', got {text!r}")
 
 
-def _mean_kind(text: str) -> int:
-    if text not in ("0", "1"):
-        raise argparse.ArgumentTypeError(f"mean kind must be 0 or 1, got {text!r}")
-    return int(text)
-
-
 def _alpha_grid(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
@@ -136,10 +130,6 @@ def _nested(ws: Workspace, args, *texts: str) -> tuple:
             raise ParameterError(f"empty nested operand {text!r}")
         level1 = [NestedSet.of(map(NestedSet.leaf, _named(ws.sets, "set", name))) for name in names]
         operands.append(NestedSet.of(level1) if "," in text else level1[0])
-    if args.level is not None and operands[0].level != args.level:
-        raise ParameterError(
-            f"operand {texts[0]!r} parses to level {operands[0].level}, --level says {args.level}"
-        )
     return tuple(operands)
 
 
@@ -175,16 +165,6 @@ FAMILIES = {
 }
 
 
-def _operands(ws: Workspace, args, name_a: str, name_b: str) -> tuple:
-    """The two named operands of the family, resolved and validated."""
-    return FAMILIES[args.family].operands(ws, args, name_a, name_b)
-
-
-def _distance_fn(ws: Workspace, args):
-    """Closure (a, b) -> value of the family, over operands from ``_operands``."""
-    return FAMILIES[args.family].distance(ws, args)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -192,8 +172,9 @@ def _distance_fn(ws: Workspace, args):
 
 def cmd_dist(args) -> int:
     ws = load_workspace(args.workspace)
-    distance = _distance_fn(ws, args)
-    print(format_scalar(distance(*_operands(ws, args, args.set_a, args.set_b))))
+    family = FAMILIES[args.family]
+    distance = family.distance(ws, args)
+    print(format_scalar(distance(*family.operands(ws, args, args.set_a, args.set_b))))
     return 0
 
 
@@ -202,7 +183,8 @@ def cmd_matrix(args) -> int:
     names = args.sets
     if len(names) < 2:
         raise ParameterError("matrix needs at least two names")
-    distance = _distance_fn(ws, args)
+    family = FAMILIES[args.family]
+    distance = family.distance(ws, args)
     # Every cell's operands are resolved, in row-major order, so each error
     # comes at the cell it always came at. Under an exactly symmetric ground
     # metric each family is symmetric bit for bit, so a cell below the
@@ -213,7 +195,7 @@ def cmd_matrix(args) -> int:
     for i, na in enumerate(names):
         row = []
         for j, nb in enumerate(names):
-            a, b = _operands(ws, args, na, nb)
+            a, b = family.operands(ws, args, na, nb)
             row.append(values[j][i] if mirror and j < i else distance(a, b))
         values.append(row)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -230,10 +212,8 @@ def cmd_axioms(args) -> int:
         rng = random.Random(args.seed)
         registry = random_point_registry(rng, size=args.pool, dim=args.dim)
         ws = Workspace(registry=registry, metric=EuclideanMetric())
-    elif args.workspace:
-        ws = load_workspace(args.workspace)
     else:
-        raise ParameterError("axioms needs --workspace or --random")
+        ws = load_workspace(args.workspace)
 
     min_size, _, max_size = args.sizes.partition(":")
     try:
@@ -248,11 +228,9 @@ def cmd_axioms(args) -> int:
     else:
         sampler = subset_triple_sampler(ws.registry, lo, hi)
 
-    if FAMILIES[args.family].operands is not _sets:
-        raise ParameterError(f"family {args.family!r} is not a finite-set family")
     axioms = PARTIAL_AXIOMS if args.partial else METRIC_AXIOMS
     report = check_axioms(
-        _distance_fn(ws, args), sampler, n=args.n, seed=args.seed,
+        FAMILIES[args.family].distance(ws, args), sampler, n=args.n, seed=args.seed,
         tolerance=args.tolerance, axioms=axioms,
     )
 
@@ -375,27 +353,26 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_family_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", required=True, choices=FAMILIES)
+def _add_family_options(sub: argparse.ArgumentParser, families: Collection[str]) -> None:
+    sub.add_argument("--family", required=True, choices=families)
     sub.add_argument("--p", type=_extended_real, default=1.0,
                      help="order of the outer mean ('inf', '-inf', '0' for limits)")
     sub.add_argument("--q", type=_extended_real, default=1.0,
                      help="order of the inner mean")
     sub.add_argument("--r", type=_extended_real, default=1.0,
                      help="order of the outermost (sidewise) mean")
-    sub.add_argument("--i", type=_mean_kind, default=1, help="outer mean kind (0 or 1)")
-    sub.add_argument("--j", type=_mean_kind, default=1, help="inner mean kind (0 or 1)")
-    sub.add_argument("--k", type=_mean_kind, default=1, help="outermost mean kind (0 or 1)")
+    sub.add_argument("--i", type=int, choices=(0, 1), default=1, help="outer mean kind")
+    sub.add_argument("--j", type=int, choices=(0, 1), default=1, help="inner mean kind")
+    sub.add_argument("--k", type=int, choices=(0, 1), default=1, help="outermost mean kind")
     sub.add_argument("--lam", type=float, default=None,
                      help="discrete scale for the closed forms (defaults to the "
                           "workspace metric's scale)")
     sub.add_argument("--nu", type=float, default=0.5, help="log-cardinality exponent")
-    sub.add_argument("--level", type=int, default=None,
-                     help="expected nesting level for family fk")
-    sub.add_argument("--alpha-grid", type=_alpha_grid, default=DEFAULT_ALPHA_GRID,
-                     help="comma-separated alpha levels for family fuzzy")
-    sub.add_argument("--alpha-weight", type=float, default=1.0,
-                     help="weight of the |alpha - beta| term for family fuzzy")
+    if "fuzzy" in families:
+        sub.add_argument("--alpha-grid", type=_alpha_grid, default=DEFAULT_ALPHA_GRID,
+                         help="comma-separated alpha levels for family fuzzy")
+        sub.add_argument("--alpha-weight", type=float, default=1.0,
+                         help="weight of the |alpha - beta| term for family fuzzy")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,22 +385,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="distance between two named operands")
     p_dist.add_argument("--workspace", required=True)
-    _add_family_options(p_dist)
+    _add_family_options(p_dist, FAMILIES)
     p_dist.add_argument("set_a")
     p_dist.add_argument("set_b")
     p_dist.set_defaults(func=cmd_dist)
 
     p_matrix = sub.add_parser("matrix", help="pairwise distance matrix as CSV")
     p_matrix.add_argument("--workspace", required=True)
-    _add_family_options(p_matrix)
+    _add_family_options(p_matrix, FAMILIES)
     p_matrix.add_argument("sets", nargs="+")
     p_matrix.set_defaults(func=cmd_matrix)
 
     p_axioms = sub.add_parser("axioms", help="randomized metric-axiom check")
-    p_axioms.add_argument("--workspace")
-    p_axioms.add_argument("--random", action="store_true",
-                          help="sample over a random plane pool instead of a workspace")
-    _add_family_options(p_axioms)
+    source = p_axioms.add_mutually_exclusive_group(required=True)
+    source.add_argument("--workspace")
+    source.add_argument("--random", action="store_true",
+                        help="sample over a random plane pool instead of a workspace")
+    # the finite-set families: the samplers draw finite sets
+    _add_family_options(p_axioms, [name for name, family in FAMILIES.items()
+                                   if family.operands is _sets])
     p_axioms.add_argument("--n", type=int, default=1000,
                           help=f"sampled triples, from 1 to {MAX_TRIPLES:,}")
     p_axioms.add_argument("--seed", type=int, default=0)

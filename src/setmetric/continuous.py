@@ -39,6 +39,7 @@ from .core import (
     ElementId,
     ElementRegistry,
     FiniteSet,
+    _id_sort_key,
     _quotient,
     _set_average,
     average_metric,
@@ -116,18 +117,6 @@ class IntervalUnion:
     @property
     def measure(self) -> float:
         return math.fsum(p.length for p in self.parts)
-
-    @property
-    def lo(self) -> float:
-        if not self.parts:
-            raise NullMeasureError("empty interval union has no bounds")
-        return self.parts[0].lo
-
-    @property
-    def hi(self) -> float:
-        if not self.parts:
-            raise NullMeasureError("empty interval union has no bounds")
-        return self.parts[-1].hi
 
     def contains(self, x: float) -> bool:
         import numpy as np
@@ -321,7 +310,7 @@ class SamplePlan:
     """How to draw the sample: the population (an interval union or a finite
     set over a registry), the sample count, the seed, and the mode
     ("random" for seeded uniform draws, "systematic" for an equal-measure
-    grid)."""
+    grid over an interval population)."""
 
     population: Union[IntervalUnion, FiniteSet]
     n: int
@@ -340,6 +329,8 @@ class SamplePlan:
             raise ParameterError(f"sample count must be at most {MAX_SAMPLES:,}, got {self.n}")
         if self.mode not in ("random", "systematic"):
             raise ParameterError(f"unknown sampling mode {self.mode!r}")
+        if self.mode == "systematic" and isinstance(self.population, FiniteSet):
+            raise ParameterError("systematic sampling needs an interval population")
 
 
 @dataclass(frozen=True)
@@ -477,7 +468,7 @@ class FuzzySet:
         else:
             items = tuple(self.membership)
         items = tuple(sorted(((eid, float(g)) for eid, g in items),
-                             key=lambda kv: (isinstance(kv[0], str), kv[0])))
+                             key=lambda kv: _id_sort_key(kv[0])))
         for eid, grade in items:
             if not 0.0 <= grade <= 1.0:
                 raise ParameterError(f"membership grade out of [0,1] for {eid!r}: {grade}")

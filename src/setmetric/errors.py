@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Two families matter to callers: ``ParameterError`` for malformed arguments
-(bad exponents, out-of-range weights, unparsable configs) and ``DomainError``
+(bad or NaN orders, out-of-range scales, unparsable configs) and ``DomainError``
 for inputs that are well-formed but violate an operation's precondition
 (empty sets, null measure, mismatched registries). The CLI maps them to
 distinct exit codes.

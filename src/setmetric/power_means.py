@@ -58,6 +58,12 @@ _LOG_MAX = math.log(sys.float_info.max)  # the largest y whose e^y is finite
 _LOG_TINY = math.log(_TINY)  # the smallest y whose e^y is a normal float
 
 
+def _require_orders(**orders: float) -> None:
+    for name, order in orders.items():
+        if order != order:  # NaN is no order
+            raise ParameterError(f"order {name} must be a number, inf or -inf, got nan")
+
+
 def _validated(values: Sequence[float], nonneg: bool) -> list[float]:
     vals = [float(v) for v in values]
     if not vals:
@@ -83,6 +89,7 @@ def power_mean(values: Sequence[float], p: float = 1.0) -> float:
     p = 1 arithmetic mean, p = 0 geometric mean (analytic limit), p = +inf /
     -inf the max / min. A zero value makes the mean 0 for p <= 0.
     """
+    _require_orders(p=p)
     vals = _validated(values, nonneg=True)
     if p == _INF:
         return max(vals)
@@ -127,6 +134,7 @@ def exp_mean(values: Sequence[float], p: float = 1.0) -> float:
     m + log(M / m) for the power mean M of the e^v and their factored extreme
     e^m, so p * v never overflows.
     """
+    _require_orders(p=p)
     vals = _validated(values, nonneg=False)
     if p == _INF:
         return max(vals)
@@ -274,6 +282,7 @@ def pointwise_mean_distance(
     p=+inf, q=-inf it equals ``hausdorff``. Other parameter choices are
     exploratory and carry no metric guarantee.
     """
+    _require_orders(p=p, q=q)
     _require_same_registry("pointwise_mean_distance", a, b)
     _require_nonempty("pointwise_mean_distance", a, b)
     outer = _means(i)[0]
@@ -328,6 +337,7 @@ def sidewise_mean_distance(
     At all-arithmetic settings (r=k, p=i, q=j) this is exactly half of
     ``average_metric``; with r=p=+inf, q=-inf it equals ``hausdorff``.
     """
+    _require_orders(r=r, p=p, q=q)
     _require_same_registry("sidewise_mean_distance", a, b)
     _require_nonempty("sidewise_mean_distance", a, b)
     middle, outer = _means(i)[0], _means(k)[0]
@@ -358,6 +368,7 @@ def closed_form_pointwise_discrete(
     |A∪B|, the scaled Jaccard distance); a metric for every p > 0. The inner
     mean order drops out because all cross-distances equal ``lam``.
     """
+    _require_orders(p=p)
     _require_same_registry("closed_form_pointwise_discrete", a, b)
     _require_nonempty("closed_form_pointwise_discrete", a, b)
     _require_scale(lam)
@@ -393,6 +404,7 @@ def closed_form_sidewise_discrete(
     analytic limit (lam/2) * |A△B| / |A∪B|, i.e. half the scaled Jaccard
     distance, matching the sidewise composition's arithmetic limit.
     """
+    _require_orders(p=p)
     _require_same_registry("closed_form_sidewise_discrete", a, b)
     _require_nonempty("closed_form_sidewise_discrete", a, b)
     _require_scale(lam)

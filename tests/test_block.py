@@ -219,6 +219,24 @@ def test_large_operands_take_the_block_and_small_ones_do_not():
         assert core._cross_rows(m, registry, big.members, big.members) is None
 
 
+@pytest.mark.parametrize("size", [8, 40], ids=["scalar", "block"])
+@pytest.mark.parametrize("distance, order", [
+    (pointwise_mean_distance, "p"),
+    # the block path returned the q = 0 value, the scalar path blamed a NaN value
+    (pointwise_mean_distance, "q"),
+    (sidewise_mean_distance, "r"),
+    (sidewise_mean_distance, "p"),
+    (sidewise_mean_distance, "q"),
+])
+def test_nan_order_is_rejected_on_both_paths(size, distance, order):
+    registry = ElementRegistry({i: (float(i), float(i % 7)) for i in range(80)})
+    a, b = registry.set_of(range(size)), registry.set_of(range(size // 2, size // 2 + size))
+    m = EuclideanMetric()
+    assert (core._cross_rows(m, registry, a.members, b.members) is not None) == (size == 40)
+    with pytest.raises(ParameterError, match=f"order {order} must be a number, inf or -inf, got nan"):
+        distance(m, a, b, **{order: math.nan})
+
+
 def test_subclass_with_own_distance_stays_scalar():
     class Doubled(EuclideanMetric):
         def distance(self, x, y):

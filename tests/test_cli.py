@@ -384,6 +384,20 @@ class TestAxioms:
         assert result.returncode == 2
 
     @pytest.mark.parametrize("flags, message", [
+        # --workspace was ignored
+        (["--random", "--workspace", "ws.json", "--family", "f"],
+         "argument --workspace: not allowed with argument --random"),
+        (["--random", "--family", "fuzzy"], "argument --family: invalid choice: 'fuzzy'"),
+        (["--random", "--family", "fk"], "argument --family: invalid choice: 'fk'"),
+        (["--random", "--family", "f", "--alpha-weight", "2"],
+         "unrecognized arguments: --alpha-weight 2"),
+    ])
+    def test_refused_command_lines_exit_2(self, flags, message):
+        result = run_cli("axioms", *flags)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert message in result.stderr
+
+    @pytest.mark.parametrize("flags, message", [
         (["--sizes", "0:2"], "bad --sizes '0:2'"),  # exited 3 on an empty set
         (["--sizes", "5:3"], "bad --sizes '5:3'"),  # ran as 3:3
         (["--dim", "0"], "--dim must be at least 1"),  # reported false M3 violations
@@ -468,3 +482,10 @@ class TestEstimate:
         assert result.returncode == 0
         lines = dict(line.split(" ", 1) for line in result.stdout.splitlines())
         assert float(lines["reference"]) == pytest.approx(2 / 3)
+
+    def test_systematic_mode_over_a_finite_population_exits_2(self, ws):
+        # it printed the bytes of --mode random
+        result = run_cli("estimate", "--workspace", ws, "A", "B", "--n", "500",
+                         "--seed", "1", "--mode", "systematic")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: systematic sampling needs an interval population\n"

@@ -512,6 +512,11 @@ class TestEstimation:
         with pytest.raises(ParameterError):
             SamplePlan(U((0, 1)), n=10, mode="sorted")
 
+    def test_systematic_mode_needs_an_interval_population(self, line_registry):
+        # the mode was ignored: the same sample as mode="random"
+        with pytest.raises(ParameterError, match="systematic sampling needs an interval population"):
+            SamplePlan(line_registry.universe(), n=10, mode="systematic")
+
     def test_vectorized_cross_sum_matches_brute_force(self):
         rng = np.random.default_rng(2)
         xs = np.unique(rng.random(40))

@@ -26,7 +26,9 @@ from setmetric import (
     min_cross_distance,
     pair_sum,
     point_set_distance,
+    pointwise_mean_distance,
     semi_metric,
+    sidewise_mean_distance,
     symdiff_cardinality,
     triangle_surplus,
 )
@@ -468,6 +470,32 @@ class TestHausdorff:
         # each direction decides once: 6 is 5 from A, no member of A is over 1 from B
         assert (hausdorff(Counting(), a, b), hausdorff(Counting(), b, a)) == (5.0, 5.0)
         assert len(seen) == 2 * calls
+
+    # The work of the scalar path, which an EuclideanMetric subclass always
+    # takes, on |A| = 5 and |B| = 7 sharing 2 members: |A||B| for pair_sum, g
+    # and symmetric h, twice that for asymmetric h, |A||B∖A| + |A∖B||B| for
+    # f, u and v, and |A∖B||B| + |A∩B||B∖A| for e.
+    @pytest.mark.parametrize("distance, symmetric, calls", [
+        (pair_sum, True, 35),
+        (group_average, True, 35),
+        (hausdorff, True, 35),
+        (hausdorff, False, 70),
+        (average_metric, True, 46),
+        (pointwise_mean_distance, True, 46),
+        (sidewise_mean_distance, True, 46),
+        (semi_metric, True, 31),
+    ])
+    def test_ground_distance_calls_of_the_scalar_path(self, line_registry, distance,
+                                                      symmetric, calls):
+        class Counting(EuclideanMetric):
+            def distance(self, x, y):
+                seen.append((x.id, y.id))
+                return super().distance(x, y)
+
+        Counting.symmetric = symmetric
+        seen = []
+        distance(Counting(), line_registry.set_of(range(5)), line_registry.set_of(range(3, 10)))
+        assert len(seen) == calls
 
     def test_one_pass_fails_at_the_first_pair(self):
         registry = ElementRegistry({"a": (0.0,), "b": (1.0,), "c": (2.0,), "d": (0.0, 0.0)})

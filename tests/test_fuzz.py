@@ -73,7 +73,6 @@ FLAG_VALUES = {
     "--nu": ["0", "0.25", "0.5", "0.9", "nan"],
     "--alpha-weight": ["0", "1", "1e300", "inf", "nan"],
     "--alpha-grid": ["0.5,1", "1", "0.3", "", "0,2", "nan"],
-    "--level": ["1", "2", "x"],
 }
 FLAG_VALUES["--q"] = FLAG_VALUES["--r"] = FLAG_VALUES["--p"]
 

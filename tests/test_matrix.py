@@ -96,8 +96,6 @@ def invocations(draw, directory):
     for flag in ("--i", "--j", "--k"):
         flags += [flag, draw(st.sampled_from(["0", "1"]))]
     flags += ["--nu", draw(st.sampled_from(["0", "0.25", "0.5", "0.9"]))]
-    if family == "fk" and draw(st.booleans()):
-        flags += ["--level", draw(st.sampled_from(["1", "2"]))]
 
     path = directory / "workspace.json"
     path.write_text(json.dumps(doc))
@@ -127,9 +125,8 @@ NAMED = {
     # a bad name last: today's order reports it at the first cell of its row
     (["A", "B", "C", "NOPE"], [], "error: unknown set name 'NOPE'\n"),
     (["A", "NOPE", "B"], [], "error: unknown set name 'NOPE'\n"),
-    # fk --level checks the row operand only, so it would name the last
-    # operand in the last row; the first row's last cell fails before that
-    (["A,B", "B,C", "A"], ["--family", "fk", "--level", "2"],
+    # operands at different levels: the first row's last cell fails first
+    (["A,B", "B,C", "A"], ["--family", "fk"],
      "domain error: operands at different levels: 2 vs 1\n"),
 ])
 def test_errors_below_the_diagonal_are_reported(tmp_path, names, flags, error):
@@ -152,10 +149,10 @@ def test_each_unordered_pair_is_evaluated_once(tmp_path, config, evaluated):
     path = tmp_path / "workspace.json"
     path.write_text(json.dumps({**NAMED, "metric": config}))
     calls = []
-    distance_fn = cli._distance_fn
+    family = cli.FAMILIES["f"]
 
     def counting(ws, args):
-        distance = distance_fn(ws, args)
+        distance = family.distance(ws, args)
 
         def counted(a, b):
             calls.append((a, b))
@@ -163,7 +160,7 @@ def test_each_unordered_pair_is_evaluated_once(tmp_path, config, evaluated):
 
         return counted
 
-    with mock.patch.object(cli, "_distance_fn", counting):
+    with mock.patch.dict(cli.FAMILIES, {"f": family._replace(distance=counting)}):
         code, _, _ = run(["matrix", "--workspace", str(path), "--family", "f", "A", "B", "C", "D"])
     assert code == 0 and len(calls) == evaluated
 

@@ -382,6 +382,19 @@ class TestDiscreteClosedForms:
         assert closed_form_pointwise_discrete(a, b, p, lam) == pytest.approx(lam)
 
 
+# each returned nan
+@pytest.mark.parametrize("call", [
+    lambda a, b: power_mean([1.0, 2.0], math.nan),
+    lambda a, b: exp_mean([1.0, 2.0], math.nan),
+    lambda a, b: closed_form_pointwise_discrete(a, b, math.nan),
+    lambda a, b: closed_form_sidewise_discrete(a, b, math.nan),
+], ids=["power_mean", "exp_mean", "pointwise_closed_form", "sidewise_closed_form"])
+def test_nan_order_rejected(line_registry, call):
+    a, b = line_registry.set_of([1, 2]), line_registry.set_of([2, 3])
+    with pytest.raises(ParameterError, match="order p must be a number, inf or -inf, got nan"):
+        call(a, b)
+
+
 class TestLogCardinalityDistance:
     def test_frozen_example(self, line_registry):
         a, b = line_registry.set_of([1, 2]), line_registry.set_of([2, 3])
