@@ -99,12 +99,12 @@ def _named(section: dict, kind: str, name: str):
         raise ParameterError(f"unknown {kind} name {name!r}") from None
 
 
-# Operand resolvers (ws, args, name_a, name_b) -> (a, b).
+# Operand resolvers (ws, *names) -> operands.
 
 
 def _section(section: str, kind: str):
     """Resolver of names in one section of the workspace."""
-    return lambda ws, args, *names: tuple(_named(getattr(ws, section), kind, n) for n in names)
+    return lambda ws, *names: tuple(_named(getattr(ws, section), kind, n) for n in names)
 
 
 _sets = _section("sets", "set")
@@ -112,8 +112,8 @@ _unions = _section("intervals", "interval")
 _fuzzy_sets = _section("fuzzy", "fuzzy set")
 
 
-def _intervals(ws: Workspace, args, *names: str) -> tuple:
-    unions = _unions(ws, args, *names)  # an unknown name is reported before a union
+def _intervals(ws: Workspace, *names: str) -> tuple:
+    unions = _unions(ws, *names)  # an unknown name is reported before a union
     for name, union in zip(names, unions):
         if len(union.parts) != 1:
             raise ParameterError(f"family 'interval' needs single intervals; "
@@ -121,7 +121,7 @@ def _intervals(ws: Workspace, args, *names: str) -> tuple:
     return tuple(union.parts[0] for union in unions)
 
 
-def _nested(ws: Workspace, args, *texts: str) -> tuple:
+def _nested(ws: Workspace, *texts: str) -> tuple:
     """A set name is a level-1 operand; a comma-separated list of them, level 2."""
     operands = []
     for text in texts:
@@ -134,7 +134,7 @@ def _nested(ws: Workspace, args, *texts: str) -> tuple:
 
 
 class Family(NamedTuple):
-    operands: Callable  # (ws, args, name_a, name_b) -> (a, b)
+    operands: Callable  # (ws, *names) -> operands
     distance: Callable  # (ws, args) -> ((a, b) -> value)
 
 
@@ -174,7 +174,7 @@ def cmd_dist(args) -> int:
     ws = load_workspace(args.workspace)
     family = FAMILIES[args.family]
     distance = family.distance(ws, args)
-    print(format_scalar(distance(*family.operands(ws, args, args.set_a, args.set_b))))
+    print(format_scalar(distance(*family.operands(ws, args.set_a, args.set_b))))
     return 0
 
 
@@ -195,7 +195,7 @@ def cmd_matrix(args) -> int:
     for i, na in enumerate(names):
         row = []
         for j, nb in enumerate(names):
-            a, b = family.operands(ws, args, na, nb)
+            a, b = family.operands(ws, na, nb)
             row.append(values[j][i] if mirror and j < i else distance(a, b))
         values.append(row)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -315,7 +315,7 @@ def cmd_estimate(args) -> int:
     name_a, name_b = args.set_a, args.set_b
 
     if name_a in ws.intervals or name_b in ws.intervals:
-        a, b = _unions(ws, args, name_a, name_b)
+        a, b = _unions(ws, name_a, name_b)
         if not args.population:
             raise ParameterError("interval estimation needs --population")
         population = _named(ws.intervals, "interval", args.population)
@@ -327,7 +327,7 @@ def cmd_estimate(args) -> int:
             )
         exact = interval_average_metric
     else:
-        a, b = _sets(ws, args, name_a, name_b)
+        a, b = _sets(ws, name_a, name_b)
         population = (_named(ws.sets, "set", args.population) if args.population
                       else ws.registry.universe())
         if not (a.ids | b.ids) <= population.ids:

@@ -69,8 +69,7 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ParameterError(f"interval bounds must be finite: [{self.lo}, {self.hi}]")
+        # false for inf and nan as well
         if not (abs(self.lo) <= _MAX_BOUND and abs(self.hi) <= _MAX_BOUND):
             raise ParameterError(f"interval bounds must lie within ±2^1022: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
@@ -86,13 +85,6 @@ class Interval:
 
 
 IntervalLike = Union[Interval, tuple, list]
-
-
-def _as_interval(obj: IntervalLike) -> Interval:
-    if isinstance(obj, Interval):
-        return obj
-    lo, hi = obj
-    return Interval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -112,7 +104,7 @@ class IntervalUnion:
 
     @classmethod
     def of(cls, parts: Iterable[IntervalLike]) -> "IntervalUnion":
-        return cls(tuple(_as_interval(p) for p in parts))
+        return cls(tuple(p if isinstance(p, Interval) else Interval(*p) for p in parts))
 
     @property
     def measure(self) -> float:

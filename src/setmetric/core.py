@@ -90,6 +90,8 @@ class ElementRegistry:
             raise ParameterError(f"duplicate element id: {eid!r}")
         if isinstance(payload, (list, tuple)):
             payload = tuple(float(v) for v in payload)
+            if not payload:
+                raise ParameterError(f"no coordinates in the payload of {eid!r}")
         elif isinstance(payload, (int, float)) and not isinstance(payload, bool):
             payload = (float(payload),)
         if isinstance(payload, tuple) and not all(map(math.isfinite, payload)):
@@ -104,7 +106,7 @@ class ElementRegistry:
         row per id.
 
         The array is None unless every payload is a tuple of one common
-        length, between 1 and 2**20, whose coordinates are 0 or of magnitude
+        length, below 2**20, whose coordinates are 0 or of magnitude
         in [2**-450, 2**500]. Then every nonzero coordinate difference lies in
         [2**-502, 2**501], so no square and no sum of squares leaves the
         normal float range. Built on first use; ``add`` drops it.
@@ -118,7 +120,7 @@ class ElementRegistry:
                 payloads
                 and all(isinstance(p, tuple) for p in payloads)
                 and len({len(p) for p in payloads}) == 1
-                and 0 < len(payloads[0]) < 2**20
+                and len(payloads[0]) < 2**20
             ):
                 coords = np.array(payloads, dtype=np.float64)
                 size = np.abs(coords)
@@ -403,10 +405,10 @@ class MatrixMetric(BaseMetric):
             raise UnknownIdError(f"id not in distance table: {exc.args[0]!r}") from None
 
     def _operand(self, registry: "ElementRegistry", ids: Collection) -> np.ndarray | None:
-        # an id outside the table stays on the scalar path, which names it
-        if not all(map(self._index.__contains__, ids)):
+        try:
+            return _rows_of(self._index, ids)
+        except KeyError:  # an id outside the table stays on the scalar path, which names it
             return None
-        return _rows_of(self._index, ids)
 
     def _block(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -672,18 +674,16 @@ def hausdorff(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
         rows_ba = _cross_rows(m, a.registry, b.members, a.members)
         return max(_max_min(m, a.registry, a.members, b.members, rows),
                    _max_min(m, a.registry, b.members, a.members, rows_ba))
-    ea, eb = a.elements(), b.elements()
-    if m.symmetric:
-        # one pass: d(y, x) is d(x, y), so the column minima give d(B, A)
-        row_minima, column_minima = [], None
-        for x in ea:
-            row = [m.distance(x, y) for y in eb]
-            row_minima.append(min(row))
-            column_minima = row if column_minima is None else list(map(min, column_minima, row))
-        return max(max(row_minima), max(column_minima))
-    d_ab = max(min(m.distance(x, y) for y in eb) for x in ea)
-    d_ba = max(min(m.distance(y, x) for x in ea) for y in eb)
-    return max(d_ab, d_ba)
+    # one pass: the row minima give d(A, B) and the column minima d(B, A),
+    # whose column is the row itself where d(y, x) is d(x, y)
+    eb = b.elements()
+    row_minima, column_minima = [], None
+    for x in a.elements():
+        row = [m.distance(x, y) for y in eb]
+        column = row if m.symmetric else [m.distance(y, x) for y in eb]
+        row_minima.append(min(row))
+        column_minima = column if column_minima is None else list(map(min, column_minima, column))
+    return max(max(row_minima), max(column_minima))
 
 
 def jaccard(a: FiniteSet, b: FiniteSet) -> float:

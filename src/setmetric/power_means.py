@@ -157,9 +157,7 @@ def exp_mean(values: Sequence[float], p: float = 1.0) -> float:
 def _log_scale(logs: list[float], p: float) -> float | None:
     """log(M / m) for the power mean M of order ``p`` of the values m e^x, x in
     ``logs``; None where the order-0 limit applies. ``power_mean`` is m e^y
-    over the logs of v/m, ``exp_mean`` m + y over v - m."""
-    if p == 0:
-        return None
+    over the logs of v/m, ``exp_mean`` m + y over v - m. ``p`` is not 0."""
     spread = max(map(abs, logs))
     # Once |p| * spread is below the smallest normal float, p * x keeps too few
     # bits to be divided by p again, and the order-0 limit is within rounding.
@@ -240,8 +238,6 @@ def _log_scale_rows(logs: np.ndarray, p: float) -> np.ndarray:
     """``_log_scale`` of each row, NaN for None."""
     import numpy as np
     y = np.full(len(logs), np.nan)
-    if p == 0:
-        return y
     with np.errstate(over="ignore"):
         spread = np.abs(logs).max(axis=1)
         powered = ~((spread > 0.0) & (spread * abs(p) < _TINY))
@@ -249,14 +245,11 @@ def _log_scale_rows(logs: np.ndarray, p: float) -> np.ndarray:
     return y
 
 
-# mean kind -> the scalar mean and its row-wise twin
-_MEANS = {1: (power_mean, _power_mean_rows), 0: (exp_mean, _exp_mean_rows)}
-
-
 def _means(kind: int):
+    """The scalar mean of ``kind`` and its row-wise twin, looked up at each call."""
     if kind not in (0, 1):
         raise ParameterError(f"mean kind must be 0 or 1, got {kind}")
-    return _MEANS[kind]
+    return (power_mean, _power_mean_rows) if kind else (exp_mean, _exp_mean_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,9 @@ def parse_workspace(doc: dict) -> Workspace:
     registry = ElementRegistry()
     for eid, payload in doc.get("elements", {}).items():
         try:
-            coords = registry.add(eid, payload).payload
+            registry.add(eid, payload)
         except (TypeError, ValueError) as exc:
             raise WorkspaceError(f"element {eid!r} has a malformed payload: {exc}") from exc
-        # the library accepts an empty coordinate tuple; a workspace point
-        # needs at least one coordinate
-        if coords == ():
-            raise WorkspaceError(f"element {eid!r} has a malformed payload: no coordinates")
 
     sets: dict[str, FiniteSet] = {}
     for name, ids in doc.get("sets", {}).items():

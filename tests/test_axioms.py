@@ -190,3 +190,18 @@ def test_discrete_metric_distances_are_jaccard_scaled(plane_pool):
         seed=7,
     )
     assert report.ok
+
+
+# A negative, an asymmetric and a non-partial distance over the numbers of one
+# triple: each fails exactly one axiom, by the magnitude recorded.
+@pytest.mark.parametrize("dist, wanted, expected", [
+    (lambda x, y: -1.0 if x != y else 0.0, ("M1",),
+     axioms.Violation("M1", ("0", "1"), 1.0)),
+    (lambda x, y: 2.0 * (x - y) if x > y else float(y - x), ("M4",),
+     axioms.Violation("M4", ("0", "1"), 1.0)),
+    (lambda x, y: abs(x - y) + (5.0 if x == y == 1 else 0.0), axioms.PARTIAL_AXIOMS,
+     axioms.Violation("partial-M5", ("0", "1", "2"), 5.0)),
+])
+def test_violations_recorded(dist, wanted, expected):
+    report = check_axioms(dist, lambda rng: (0, 1, 2), n=1, axioms=wanted)
+    assert report.violations == (expected,)

@@ -172,6 +172,16 @@ def test_malformed_workspace_exits_2(tmp_path, doc, argv):
     assert "Traceback" not in result.stderr
 
 
+# the registry refuses empty coordinates, and the loader names the element
+def test_empty_coordinates_message(tmp_path):
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps({"elements": {"a": [], "b": []}, "sets": {"A": ["a"], "B": ["b"]}}))
+    result = run_cli("dist", "--workspace", str(path), "--family", "f", "A", "B")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("error: element 'a' has a malformed payload: "
+                             "no coordinates in the payload of 'a'\n")
+
+
 # a valid pseudo-metric table of 1,001 ids loaded, in about 3 s and 100 MB
 def test_table_above_the_id_limit_exits_2(tmp_path):
     doc = {
@@ -475,6 +485,23 @@ class TestEstimate:
         result = run_cli("estimate", "--workspace", est_ws, "A", "B",
                          "--population", "P", "--n", "1", "--seed", "3")
         assert result.returncode in (0, 3)  # a single draw may miss one side
+
+    @pytest.mark.parametrize("argv, message", [
+        (["I", "J"], "interval estimation needs --population"),
+        (["I", "J", "--population", "P1"],
+         "population 'P1' does not cover the operands (uncovered measure 0.5)"),
+        (["A", "B", "--population", "P"], "population 'P' does not cover the operands"),
+    ])
+    def test_refusals_exit_2(self, tmp_path, argv, message):
+        path = tmp_path / "workspace.json"
+        path.write_text(json.dumps({
+            "elements": {"1": None, "2": None},
+            "sets": {"A": ["1"], "B": ["2"], "P": ["1"]},
+            "intervals": {"I": [[0, 1]], "J": [[0.5, 1.5]], "P1": [[0, 1]]},
+        }))
+        result = run_cli("estimate", "--workspace", str(path), *argv, "--n", "10")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: {message}\n"
 
     def test_finite_population_mode(self, ws):
         result = run_cli("estimate", "--workspace", ws, "A", "B", "--n", "500",

@@ -56,6 +56,12 @@ class TestRegistryAndSets:
         with pytest.raises(ParameterError):
             reg.add(1)
 
+    # f({a}, {b}) was 0.0 for two points without coordinates
+    @pytest.mark.parametrize("payload", [[], ()])
+    def test_empty_coordinates_rejected(self, payload):
+        with pytest.raises(ParameterError, match="^no coordinates in the payload of 'a'$"):
+            ElementRegistry({"a": payload, "b": payload})
+
     def test_members_deduplicated_and_sorted(self, line_registry):
         s = line_registry.set_of([3, 1, 3, 2, 1])
         assert s.members == (1, 2, 3)
@@ -126,6 +132,11 @@ class TestBaseMetrics:
     def test_lp_powers_out_of_range(self, x, y, expected):
         got = LpMetric(2.0).distance(Element(0, x), Element(1, y))
         assert got == pytest.approx(expected, rel=1e-15, abs=0)
+
+    def test_lp_power_overflow(self):
+        # 2e200 ** 3 raises OverflowError rather than giving inf
+        got = LpMetric(3.0).distance(Element(0, (1e200,)), Element(1, (-1e200,)))
+        assert got == 2e200
 
     def test_lp_requires_p_at_least_one(self):
         for p in (0.5, math.inf, math.nan):
@@ -497,6 +508,20 @@ class TestHausdorff:
         distance(Counting(), line_registry.set_of(range(5)), line_registry.set_of(range(3, 10)))
         assert len(seen) == calls
 
+    def test_tolerance_asymmetric_table(self):
+        # symmetric within the 1e-12 tolerance, not bit for bit: d(B, A)
+        # takes d(y, x), not the column of d(x, y)
+        table = MatrixMetric(["a", "b", "c"], [[0, 1, 2], [1 + 1e-13, 0, 1], [2, 1, 0]])
+        assert not table.symmetric
+        registry = ElementRegistry(dict.fromkeys(["a", "b", "c", "y", "z"]))
+        a, b = registry.set_of(["a"]), registry.set_of(["b"])
+        assert hausdorff(table, a, b) == hausdorff(table, b, a) == 1 + 1e-13
+        # the first failing pair in the order of the two directed passes:
+        # d(a, b), d(a, y) fails before any d(z, .) or d(y, .)
+        a, b = registry.set_of(["a", "z"]), registry.set_of(["b", "y"])
+        with pytest.raises(UnknownIdError, match="^id not in distance table: 'y'$"):
+            hausdorff(table, a, b)
+
     def test_one_pass_fails_at_the_first_pair(self):
         registry = ElementRegistry({"a": (0.0,), "b": (1.0,), "c": (2.0,), "d": (0.0, 0.0)})
         a, b = registry.set_of(["a", "b"]), registry.set_of(["c", "d"])
@@ -528,3 +553,29 @@ class TestJaccardAndSymdiff:
         assert symdiff_cardinality(a, b) == 2
         assert symdiff_cardinality(a, a) == 0
         assert symdiff_cardinality(a, line_registry.set_of([])) == len(a)
+
+
+class TestBlockFallback:
+    """An id outside a distance table sends operands of 256 pairs or more to
+    the scalar path, which raises the same error as for small operands."""
+
+    class Scalar(MatrixMetric):
+        """A subclass always takes the scalar path."""
+
+    @pytest.mark.parametrize("distance", [
+        pair_sum, group_average, average_metric, semi_metric, hausdorff,
+        pointwise_mean_distance, sidewise_mean_distance,
+    ])
+    def test_unknown_id_named_as_on_the_scalar_path(self, distance):
+        ids = [f"t{k:02d}" for k in range(40)]
+        values = [[abs(i - j) for j in range(40)] for i in range(40)]
+        registry = ElementRegistry(dict.fromkeys(ids + ["zz"]))
+        a, b = registry.set_of(ids[:20] + ["zz"]), registry.set_of(ids[10:])
+        # every function, through A∖B × B or A × B∖A, meets zz in a block of 256 pairs or more
+        assert len(a.difference(b)) * len(b) >= 256 and len(a) * len(b.difference(a)) >= 256
+        errors = []
+        for m in (MatrixMetric(ids, values), self.Scalar(ids, values)):
+            with pytest.raises(UnknownIdError) as caught:
+                distance(m, a, b)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == "id not in distance table: 'zz'"

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from setmetric import (
     sidewise_mean_distance,
     subset_triple_sampler,
 )
+from setmetric import power_means
 from setmetric.power_means import _exp_mean_rows, _power_mean_rows
 
 INF = float("inf")
@@ -282,6 +284,23 @@ class TestComposedDistances:
                 assert 2 * v == pytest.approx(f, abs=1e-9)
             assert pointwise_mean_distance(m, a, b, p=INF, q=-INF) == pytest.approx(h, abs=1e-12)
             assert sidewise_mean_distance(m, a, b, r=INF, p=INF, q=-INF) == pytest.approx(h, abs=1e-12)
+
+    # the means of a kind are looked up at each call, so a patched module
+    # function is called: an inner mean from each of 0 and 5, then the outer
+    @pytest.mark.parametrize("name, kind", [("power_mean", 1), ("exp_mean", 0)])
+    def test_patched_mean_is_called(self, line_registry, euclid, name, kind):
+        mean, orders = getattr(power_means, name), []
+
+        def recording(values, p):
+            orders.append(p)
+            return mean(values, p)
+
+        a, b = line_registry.set_of([0, 1, 2]), line_registry.set_of([1, 2, 5])
+        expected = pointwise_mean_distance(euclid, a, b, i=kind, j=kind, p=2.0, q=-1.0)
+        with mock.patch.object(power_means, name, recording):
+            got = pointwise_mean_distance(euclid, a, b, i=kind, j=kind, p=2.0, q=-1.0)
+        assert got == expected
+        assert orders == [-1.0, -1.0, 2.0]
 
     def test_bad_mean_kind_rejected(self, line_registry, euclid):
         with pytest.raises(ParameterError):
