@@ -215,6 +215,13 @@ def _pair_terms(
             yield math.ldexp(wa * wb * mean, ea + eb)
 
 
+def _require_part_pairs(pairs: int) -> None:
+    if pairs > MAX_PART_PAIRS:
+        raise ParameterError(
+            f"interval distances visit at most {MAX_PART_PAIRS:,} pairs of parts, got {pairs:,}"
+        )
+
+
 def interval_group_average(a: IntervalUnion, b: IntervalUnion) -> float:
     """Mean of |x - y| over x in ``a``, y in ``b``.
 
@@ -227,6 +234,7 @@ def interval_group_average(a: IntervalUnion, b: IntervalUnion) -> float:
     mu_a, mu_b = a.measure, b.measure
     if mu_a == 0.0 or mu_b == 0.0:
         raise NullMeasureError("interval_group_average requires positive measure")
+    _require_part_pairs(len(a.parts) * len(b.parts))
     return _quotient(lambda: _pair_terms(a.parts, b.parts, mu_a, mu_b), 1)
 
 
@@ -245,6 +253,7 @@ def interval_average_metric(a: IntervalUnion, b: IntervalUnion) -> float:
         raise NullMeasureError("interval_average_metric requires positive measure")
     mu_union = a.union(b).measure
     b_only, a_only = b.difference(a), a.difference(b)
+    _require_part_pairs(len(a.parts) * len(b_only.parts) + len(a_only.parts) * len(b.parts))
     return _quotient(lambda: itertools.chain(_pair_terms(a.parts, b_only.parts, mu_a, mu_union),
                                              _pair_terms(a_only.parts, b.parts, mu_union, mu_b)), 1)
 
@@ -295,6 +304,10 @@ def steinhaus(a: IntervalUnion, b: IntervalUnion) -> float:
 
 # The largest sample count a plan accepts: a sample holds n floats or ids.
 MAX_SAMPLES = 10**7
+
+# The most pairs of parts an interval distance visits: about 8,000,000 took 1.6 s
+# on a 2-vCPU VM, about 200 ns a pair.
+MAX_PART_PAIRS = 10**7
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ average, here and in the other modules, is one ``_quotient`` of a sum,
 finite wherever its exact value is; minima are evaluated again through
 ``distance`` where the block cannot tell them apart, so they are exact.
 
-numpy is imported inside the functions that use it: the block path, the
-payload table and ``MatrixMetric`` validation. The scalar path never loads it.
+numpy is imported inside the functions that use it: the block path and
+``MatrixMetric`` validation. The scalar path never loads it.
 """
 
 from __future__ import annotations
@@ -72,15 +72,12 @@ class Element:
 class ElementRegistry:
     """Id -> element table shared by the finite sets built over it.
 
-    Treated as read-only once sets exist; nothing here mutates after
-    construction-time ``add`` calls except the payload table that the first
-    cross-distance block builds, which concurrent readers at worst build
-    twice, alike, so concurrent reads are safe.
+    Immutable once its construction-time ``add`` calls are done, so
+    concurrent reads are safe.
     """
 
     def __init__(self, elements: Mapping[ElementId, Any] | None = None):
         self._elements: dict[ElementId, Element] = {}
-        self._table: tuple | None = None  # see _payload_table
         if elements:
             for eid, payload in elements.items():
                 self.add(eid, payload)
@@ -98,36 +95,7 @@ class ElementRegistry:
             raise ParameterError(f"non-finite coordinate in the payload of {eid!r}")
         element = Element(eid, payload)
         self._elements[eid] = element
-        self._table = None
         return element
-
-    def _payload_table(self) -> tuple[dict, "np.ndarray | None"]:
-        """The row of every id, and the payloads as one float64 array with a
-        row per id.
-
-        The array is None unless every payload is a tuple of one common
-        length, below 2**20, whose coordinates are 0 or of magnitude
-        in [2**-450, 2**500]. Then every nonzero coordinate difference lies in
-        [2**-502, 2**501], so no square and no sum of squares leaves the
-        normal float range. Built on first use; ``add`` drops it.
-        """
-        import numpy as np
-        if self._table is None:
-            rows = {eid: k for k, eid in enumerate(self._elements)}
-            payloads = [e.payload for e in self._elements.values()]
-            coords = None
-            if (
-                payloads
-                and all(isinstance(p, tuple) for p in payloads)
-                and len({len(p) for p in payloads}) == 1
-                and len(payloads[0]) < 2**20
-            ):
-                coords = np.array(payloads, dtype=np.float64)
-                size = np.abs(coords)
-                if not ((size == 0.0) | ((size >= 2.0**-450) & (size <= 2.0**500))).all():
-                    coords = None
-            self._table = (rows, coords)
-        return self._table
 
     def element(self, eid: ElementId) -> Element:
         try:
@@ -277,14 +245,30 @@ class EuclideanMetric(BaseMetric):
         return math.dist(px, py)
 
     def _operand(self, registry: "ElementRegistry", ids: Collection) -> np.ndarray | None:
-        rows, coords = registry._payload_table()
-        return None if coords is None else coords[_rows_of(rows, ids)]
+        """The payloads of ``ids`` as one float64 array with a row per id.
+
+        None unless every payload is a tuple of one common length, below
+        2**20, whose coordinates are 0 or of magnitude in [2**-450, 2**500].
+        Then every nonzero coordinate difference lies in [2**-502, 2**501],
+        so no square and no sum of squares leaves the normal float range.
+        """
+        import numpy as np
+        payloads = [e.payload for e in map(registry.element, ids)]
+        dim = len(payloads[0]) if isinstance(payloads[0], tuple) else 0
+        if not (0 < dim < 2**20 and all(isinstance(p, tuple) and len(p) == dim for p in payloads)):
+            return None
+        coords = np.fromiter(itertools.chain.from_iterable(payloads), np.float64,
+                             len(payloads) * dim).reshape(-1, dim)
+        size = np.abs(coords)
+        if not ((size == 0.0) | ((size >= 2.0**-450) & (size <= 2.0**500))).all():
+            return None
+        return coords
 
     def _block(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         import numpy as np
         # the square root of the summed squared differences: from the same
         # differences as math.dist, within (dimension + 4) ulps of it for the
-        # payloads _payload_table admits, but not always equal to it
+        # payloads _operand admits, but not always equal to it
         total = np.zeros((len(x), len(y)))
         for k in range(x.shape[1]):
             diff = np.subtract.outer(x[:, k], y[:, k])
@@ -405,8 +389,9 @@ class MatrixMetric(BaseMetric):
             raise UnknownIdError(f"id not in distance table: {exc.args[0]!r}") from None
 
     def _operand(self, registry: "ElementRegistry", ids: Collection) -> np.ndarray | None:
+        import numpy as np
         try:
-            return _rows_of(self._index, ids)
+            return np.fromiter(map(self._index.__getitem__, ids), np.intp, len(ids))
         except KeyError:  # an id outside the table stays on the scalar path, which names it
             return None
 
@@ -434,11 +419,6 @@ _NEAR = 1.0 + 2.0**-30
 
 # exact metric classes only: a subclass may redefine ``distance``
 _BATCHED = frozenset({EuclideanMetric, MatrixMetric})
-
-
-def _rows_of(index: Mapping, ids: Collection) -> np.ndarray:
-    import numpy as np
-    return np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
 
 
 def _cross_rows(

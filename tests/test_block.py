@@ -288,6 +288,29 @@ def test_payloads_outside_the_range_stay_scalar(coordinate):
     assert pair_sum(EuclideanMetric(), a, a) == ref_sum(EuclideanMetric(), registry, a, a)
 
 
+@pytest.mark.parametrize("stray", [None, (1.0, 2.0), (1e200, 0.0, 0.0)], ids=["none", "2-d", "1e200"])
+def test_a_payload_outside_the_operands_keeps_them_on_the_block(stray):
+    # admission is decided over the operands' ids, not over the registry
+    points = dict(enumerate(map(tuple, np.random.default_rng(11).standard_normal((40, 3)).tolist())))
+    points[40] = stray
+    registry = ElementRegistry(points)
+    m = EuclideanMetric()
+    # 30 x 30 pairs, and 30 x 10 on each side of the average metric
+    a, b = registry.set_of(range(30)), registry.set_of(range(10, 40))
+    assert core._cross_rows(m, registry, a.members, b.members) is not None
+    assert close(average_metric(m, a, b), ref_average_metric(m, a, b), SUM_REL)
+    assert hausdorff(m, a, b) == ref_hausdorff(m, a, b)
+    assert math.isclose(pointwise_mean_distance(m, a, b), ref_pointwise(m, a, b, 1, 1, 1.0, 1.0),
+                        rel_tol=MEAN_REL)
+
+
+def test_payloads_of_2_to_the_20_coordinates_stay_scalar():
+    # 2**20 squares of differences up to 2**501 could sum to 2**1022
+    zeros = [0.0] * 2**20  # both payloads hold one float object: about 16 MB
+    registry = ElementRegistry({0: zeros, 1: zeros})
+    assert EuclideanMetric()._operand(registry, [0, 1]) is None
+
+
 def test_hausdorff_is_exact_where_the_block_is_not():
     gen = np.random.default_rng(5)
     m = EuclideanMetric()

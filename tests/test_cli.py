@@ -196,6 +196,22 @@ def test_table_above_the_id_limit_exits_2(tmp_path):
     assert "from 1 to 1,000 ids, got 1,001" in result.stderr
 
 
+# this command, over 10,008,338 pairs of parts, took 3.5 s on a 2-vCPU VM
+def test_interval_reference_above_the_part_pair_limit_exits_2(tmp_path):
+    parts = [[2 * k, 2 * k + 1] for k in range(2237)]
+    doc = {
+        "elements": {}, "sets": {},
+        "intervals": {"I": parts, "J": [[lo + 0.5, hi + 0.5] for lo, hi in parts], "P": [[0, 4475]]},
+    }
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("estimate", "--workspace", str(path), "I", "J",
+                     "--n", "100", "--seed", "0", "--population", "P")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("error: interval distances visit at most 10,000,000 pairs of parts, "
+                             "got 10,008,338\n")
+
+
 # f printed inf, and u exited 2 with the misleading "mean of a NaN value"
 @pytest.mark.parametrize("argv", [
     ["--family", "f", "A", "B"],

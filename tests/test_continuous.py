@@ -39,6 +39,7 @@ from setmetric import (
     steinhaus,
 )
 from setmetric.continuous import (
+    MAX_PART_PAIRS,
     MAX_SAMPLES,
     _abs_cross_sum,
     _average_metric_1d,
@@ -324,6 +325,29 @@ def scaled_up(x, k):
 # A product of three lengths overflows from extents of about 5.6e102 on: the
 # distances were inf, -inf or nan, or raised OverflowError. Scaling by a power
 # of two is exact, so the results are the small ones scaled, bit for bit.
+def spaced(n, offset=0.0):
+    """n unit parts at spacing 2 from ``offset``."""
+    return U(*[(offset + 2 * k, offset + 2 * k + 1) for k in range(n)])
+
+
+class TestPartPairLimit:
+    # refused before any pair is visited: 10,000,000 pairs take about 2 s
+    def test_group_average_counts_every_pair_of_parts(self):
+        a = spaced(3163)
+        assert len(a.parts) ** 2 == 10_004_569 > MAX_PART_PAIRS
+        with pytest.raises(ParameterError, match="at most 10,000,000 pairs of parts, got 10,004,569"):
+            interval_group_average(a, a)
+
+    def test_average_metric_counts_the_pairs_of_its_differences(self):
+        # A\B and B\A are the halves [2k, 2k + 0.5] and [2k + 1, 2k + 1.5]
+        a, b = spaced(2237), spaced(2237, 0.5)
+        with pytest.raises(ParameterError, match="at most 10,000,000 pairs of parts, got 10,008,338"):
+            interval_average_metric(a, b)
+        # equal operands have empty differences: no pair to visit
+        big = spaced(3163)
+        assert interval_average_metric(big, big) == 0.0
+
+
 class TestExtremeBounds:
     @pytest.mark.parametrize("k", [400, 1000])
     @pytest.mark.parametrize("distance", [interval_group_average, interval_average_metric])
