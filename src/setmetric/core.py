@@ -434,7 +434,8 @@ def _cross_rows(
     if len(xs) * len(ys) < _BLOCK_MIN_PAIRS or type(m) not in _BATCHED:
         return None
     x, y = m._operand(registry, xs), m._operand(registry, ys)
-    if x is None or y is None:
+    if x is None or y is None or x.shape[1:] != y.shape[1:]:
+        # operands of different dimensions stay on the scalar path too
         return None
     return _row_chunks(m._block, x, y)
 

@@ -399,3 +399,23 @@ def test_bad_payload_in_large_operand_names_the_same_pair(family, bad, message):
     with pytest.raises(DomainError) as raised:
         fn(EuclideanMetric(), a, b)
     assert str(raised.value).startswith(message.format(x=x, y=y))
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["3-d first", "2-d first"])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_operands_of_different_dimensions_raise_as_the_scalar_path(family, flip, monkeypatch):
+    # each operand alone is admitted; together they stay on the scalar path
+    points = {i: (float(i), 0.5 * i, 1.0) for i in range(20)}
+    points.update({i: (float(i), 0.5 * i) for i in range(20, 40)})
+    registry = ElementRegistry(points)
+    a, b = registry.set_of(range(20)), registry.set_of(range(20, 40))
+    if flip:
+        a, b = b, a
+    fn = FAMILIES[family][0]
+    assert core._cross_rows(EuclideanMetric(), registry, a.members, b.members) is None
+    with pytest.raises(DomainError, match="dimension mismatch") as raised:
+        fn(EuclideanMetric(), a, b)
+    monkeypatch.setattr(core, "_BLOCK_MIN_PAIRS", math.inf)
+    with pytest.raises(DomainError) as scalar:
+        fn(EuclideanMetric(), a, b)
+    assert str(raised.value) == str(scalar.value)

@@ -322,9 +322,6 @@ def scaled_up(x, k):
     return IntervalUnion.of(scaled_up(p, k) for p in x.parts)
 
 
-# A product of three lengths overflows from extents of about 5.6e102 on: the
-# distances were inf, -inf or nan, or raised OverflowError. Scaling by a power
-# of two is exact, so the results are the small ones scaled, bit for bit.
 def spaced(n, offset=0.0):
     """n unit parts at spacing 2 from ``offset``."""
     return U(*[(offset + 2 * k, offset + 2 * k + 1) for k in range(n)])
@@ -348,6 +345,9 @@ class TestPartPairLimit:
         assert interval_average_metric(big, big) == 0.0
 
 
+# A product of three lengths overflows from extents of about 5.6e102 on: the
+# distances were inf, -inf or nan, or raised OverflowError. Scaling by a power
+# of two is exact, so the results are the small ones scaled, bit for bit.
 class TestExtremeBounds:
     @pytest.mark.parametrize("k", [400, 1000])
     @pytest.mark.parametrize("distance", [interval_group_average, interval_average_metric])
