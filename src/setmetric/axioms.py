@@ -18,33 +18,26 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from .core import ElementRegistry, FiniteSet
+from .core import MAX_COORDINATES, MAX_TRIPLES, ElementRegistry, FiniteSet
 from .errors import ParameterError
 
 METRIC_AXIOMS = ("M1", "M2", "M3", "M4", "M5")
 PARTIAL_AXIOMS = ("M1", "M3", "M4", "partial-M5")
 _KNOWN_AXIOMS = frozenset(METRIC_AXIOMS) | {"partial-M5"}
 
-# Resource limits: a triple's violations keep their witnesses, about 1 KB
-MAX_TRIPLES = 100_000  # check_axioms: samples
-MAX_COORDINATES = 100_000  # random_point_registry: points x dimension
-
 DistanceFn = Callable[[Any, Any], float]
 TripleSampler = Callable[[random.Random], tuple[Any, Any, Any]]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     witness: tuple[str, ...]
     magnitude: float
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of a randomized axiom check.
 
     ``magnitude`` is the amount by which the axiom's inequality fails; a

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib
 import json
 import math
 import os
@@ -20,27 +21,12 @@ import threading
 from functools import partial
 from typing import Callable, Collection, Iterator, NamedTuple
 
-from .axioms import (
-    MAX_COORDINATES,
-    MAX_TRIPLES,
-    METRIC_AXIOMS,
-    PARTIAL_AXIOMS,
-    chained_overlap_sampler,
-    check_axioms,
-    random_point_registry,
-    subset_triple_sampler,
-)
-from .continuous import (
-    DEFAULT_ALPHA_GRID,
-    MAX_SAMPLES,
-    SamplePlan,
-    estimate_average_metric,
-    fuzzy_distance,
-    interval_average_metric,
-    interval_metric_closed_form,
-    steinhaus,
-)
 from .core import (
+    DEFAULT_ALPHA_GRID,
+    MAX_COORDINATES,
+    MAX_SAMPLES,
+    MAX_TRIPLES,
+    SUITE_NAMES,
     DiscreteMetric,
     EuclideanMetric,
     average_metric,
@@ -51,16 +37,14 @@ from .core import (
     symdiff_cardinality,
 )
 from .errors import DomainError, ParameterError
-from .hierarchy import NestedSet, nested_average_metric
-from .power_means import (
-    closed_form_pointwise_discrete,
-    closed_form_sidewise_discrete,
-    log_cardinality_distance,
-    pointwise_mean_distance,
-    sidewise_mean_distance,
-)
-from .verify import SUITES, run_suite
 from .workspace import Workspace, WorkspaceError, load_workspace
+
+
+def _module(name: str):
+    """The package module ``name``, imported when a command first uses it, so
+    that a command loads only the modules it runs. A function is looked up on
+    its module at each call, so one replaced there (by a tracer) is called."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 def format_scalar(value: float) -> str:
@@ -123,6 +107,8 @@ def _intervals(ws: Workspace, *names: str) -> tuple:
 
 def _nested(ws: Workspace, *texts: str) -> tuple:
     """A set name is a level-1 operand; a comma-separated list of them, level 2."""
+    from .hierarchy import NestedSet
+
     operands = []
     for text in texts:
         names = [part.strip() for part in text.split(",") if part.strip()]
@@ -147,20 +133,25 @@ FAMILIES = {
     "h": Family(_sets, lambda ws, args: partial(hausdorff, ws.metric)),
     "j": Family(_sets, lambda ws, args: jaccard),
     "symdiff": Family(_sets, lambda ws, args: lambda a, b: float(symdiff_cardinality(a, b))),
-    "u": Family(_sets, lambda ws, args: partial(pointwise_mean_distance, ws.metric,
-                                                i=args.i, j=args.j, p=args.p, q=args.q)),
-    "v": Family(_sets, lambda ws, args: partial(sidewise_mean_distance, ws.metric, k=args.k,
-                                                i=args.i, j=args.j, r=args.r, p=args.p, q=args.q)),
+    "u": Family(_sets, lambda ws, args: partial(
+        _module("power_means").pointwise_mean_distance, ws.metric,
+        i=args.i, j=args.j, p=args.p, q=args.q)),
+    "v": Family(_sets, lambda ws, args: partial(
+        _module("power_means").sidewise_mean_distance, ws.metric,
+        k=args.k, i=args.i, j=args.j, r=args.r, p=args.p, q=args.q)),
     "u00": Family(_sets, lambda ws, args: partial(
-        closed_form_pointwise_discrete, p=args.p, lam=_lam(ws, args))),
+        _module("power_means").closed_form_pointwise_discrete, p=args.p, lam=_lam(ws, args))),
     "v000": Family(_sets, lambda ws, args: partial(
-        closed_form_sidewise_discrete, p=args.p, lam=_lam(ws, args))),
-    "dnu": Family(_sets, lambda ws, args: partial(log_cardinality_distance, nu=args.nu)),
-    "fk": Family(_nested, lambda ws, args: partial(nested_average_metric, ws.metric, ws.registry)),
-    "interval": Family(_intervals, lambda ws, args: interval_metric_closed_form),
-    "steinhaus": Family(_unions, lambda ws, args: steinhaus),
+        _module("power_means").closed_form_sidewise_discrete, p=args.p, lam=_lam(ws, args))),
+    "dnu": Family(_sets, lambda ws, args: partial(
+        _module("power_means").log_cardinality_distance, nu=args.nu)),
+    "fk": Family(_nested, lambda ws, args: partial(
+        _module("hierarchy").nested_average_metric, ws.metric, ws.registry)),
+    "interval": Family(_intervals,
+                       lambda ws, args: _module("continuous").interval_metric_closed_form),
+    "steinhaus": Family(_unions, lambda ws, args: _module("continuous").steinhaus),
     "fuzzy": Family(_fuzzy_sets, lambda ws, args: partial(
-        fuzzy_distance, ws.metric, ws.registry,
+        _module("continuous").fuzzy_distance, ws.metric, ws.registry,
         alpha_grid=args.alpha_grid, alpha_weight=args.alpha_weight)),
 }
 
@@ -206,11 +197,12 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    axioms = _module("axioms")
     if args.random:
         if args.dim < 1:
             raise ParameterError(f"--dim must be at least 1, got {args.dim}")
         rng = random.Random(args.seed)
-        registry = random_point_registry(rng, size=args.pool, dim=args.dim)
+        registry = axioms.random_point_registry(rng, size=args.pool, dim=args.dim)
         ws = Workspace(registry=registry, metric=EuclideanMetric())
     else:
         ws = load_workspace(args.workspace)
@@ -224,14 +216,14 @@ def cmd_axioms(args) -> int:
         raise ParameterError(f"bad --sizes {args.sizes!r}, expected 1 <= LO <= HI")
 
     if args.fixture == "chained-overlap":
-        sampler = chained_overlap_sampler(ws.registry)
+        sampler = axioms.chained_overlap_sampler(ws.registry)
     else:
-        sampler = subset_triple_sampler(ws.registry, lo, hi)
+        sampler = axioms.subset_triple_sampler(ws.registry, lo, hi)
 
-    axioms = PARTIAL_AXIOMS if args.partial else METRIC_AXIOMS
-    report = check_axioms(
+    report = axioms.check_axioms(
         FAMILIES[args.family].distance(ws, args), sampler, n=args.n, seed=args.seed,
-        tolerance=args.tolerance, axioms=axioms,
+        tolerance=args.tolerance,
+        axioms=axioms.PARTIAL_AXIOMS if args.partial else axioms.METRIC_AXIOMS,
     )
 
     if args.json:
@@ -278,6 +270,7 @@ def _suite_rows(names: list[str], seed: int) -> Iterator[tuple[str, list]]:
     # start an interpreter and import it again. fork copies the calling
     # thread alone, so a process with other threads, one of which may hold a
     # lock a worker needs, runs the suites itself.
+    run_suite = _module("verify").run_suite
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     workers = min(len(names), _usable_cpus()) if forkable else 1
     if workers < 2:
@@ -295,7 +288,7 @@ def _suite_rows(names: list[str], seed: int) -> Iterator[tuple[str, list]]:
 
 
 def cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    names = list(_module("verify").SUITES) if args.suite == "all" else [args.suite]
     total = failed = 0
     with contextlib.closing(_suite_rows(names, args.seed)) as results:
         for name, rows in results:
@@ -311,6 +304,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    continuous = _module("continuous")
     ws = load_workspace(args.workspace)
     name_a, name_b = args.set_a, args.set_b
 
@@ -325,7 +319,7 @@ def cmd_estimate(args) -> int:
                 f"population {args.population!r} does not cover the operands "
                 f"(uncovered measure {uncovered:g})"
             )
-        exact = interval_average_metric
+        exact = continuous.interval_average_metric
     else:
         a, b = _sets(ws, name_a, name_b)
         population = (_named(ws.sets, "set", args.population) if args.population
@@ -333,8 +327,9 @@ def cmd_estimate(args) -> int:
         if not (a.ids | b.ids) <= population.ids:
             raise ParameterError(f"population {args.population!r} does not cover the operands")
         exact = partial(average_metric, ws.metric)
-    plan = SamplePlan(population, n=args.n, seed=args.seed, mode=args.mode)
-    result = estimate_average_metric(a, b, plan, metric=ws.metric)  # an interval plan ignores it
+    plan = continuous.SamplePlan(population, n=args.n, seed=args.seed, mode=args.mode)
+    # an interval plan ignores the metric
+    result = continuous.estimate_average_metric(a, b, plan, metric=ws.metric)
     reference = exact(a, b)
 
     print(f"estimate {format_scalar(result.value)}")
@@ -421,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_axioms.set_defaults(func=cmd_axioms)
 
     p_verify = sub.add_parser("verify", help="run the identity verification suites")
-    p_verify.add_argument("--suite", default="all", choices=["all"] + list(SUITES))
+    p_verify.add_argument("--suite", default="all", choices=["all", *SUITE_NAMES])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 

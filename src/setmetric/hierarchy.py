@@ -18,8 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .core import (
     BaseMetric,
@@ -36,8 +35,7 @@ from .errors import DomainError, EmptySetError, LevelMismatchError, ParameterErr
 NestedValue = Union[ElementId, frozenset]
 
 
-@dataclass(frozen=True)
-class NestedSet:
+class NestedSet(NamedTuple):
     level: int
     value: NestedValue
 

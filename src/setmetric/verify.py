@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .axioms import check_axioms, random_point_registry, subset_triple_sampler
 from .continuous import (
@@ -23,6 +23,7 @@ from .continuous import (
     steinhaus,
 )
 from .core import (
+    SUITE_NAMES,
     DiscreteMetric,
     ElementRegistry,
     EuclideanMetric,
@@ -46,8 +47,7 @@ from .power_means import (
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     deviation: float
     tolerance: float
@@ -482,13 +482,9 @@ def _random_union(rng: random.Random) -> IntervalUnion:
     return IntervalUnion(tuple(parts))
 
 
-SUITES = {
-    "identities": suite_identities,
-    "appendixA": suite_triangle_decomposition,
-    "appendixB": suite_closed_forms,
-    "duality": suite_duality,
-    "interval": suite_interval,
-}
+# the suites under the names of core.SUITE_NAMES, in that order
+SUITES = dict(zip(SUITE_NAMES, (suite_identities, suite_triangle_decomposition,
+                                 suite_closed_forms, suite_duality, suite_interval)))
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckRow]:

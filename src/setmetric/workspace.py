@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Hashable
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .continuous import FuzzySet, IntervalUnion
 from .core import (
     BaseMetric,
     DiscreteMetric,
@@ -37,18 +36,36 @@ from .core import (
     MatrixMetric,
 )
 
+if TYPE_CHECKING:
+    from .continuous import FuzzySet, IntervalUnion
+
 
 class WorkspaceError(ValueError):
     """The workspace document is malformed or internally inconsistent."""
 
 
-@dataclass
 class Workspace:
-    registry: ElementRegistry
-    metric: BaseMetric
-    sets: dict[str, FiniteSet] = field(default_factory=dict)
-    intervals: dict[str, IntervalUnion] = field(default_factory=dict)
-    fuzzy: dict[str, FuzzySet] = field(default_factory=dict)
+    """A metric, its element registry and the named operands over it; each
+    section omitted is a new empty dict."""
+
+    def __init__(
+        self,
+        registry: ElementRegistry,
+        metric: BaseMetric,
+        sets: dict[str, FiniteSet] | None = None,
+        intervals: dict[str, IntervalUnion] | None = None,
+        fuzzy: dict[str, FuzzySet] | None = None,
+    ):
+        self.registry = registry
+        self.metric = metric
+        self.sets = {} if sets is None else sets
+        self.intervals = {} if intervals is None else intervals
+        self.fuzzy = {} if fuzzy is None else fuzzy
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def metric_from_config(config: dict) -> BaseMetric:
@@ -97,6 +114,9 @@ def parse_workspace(doc: dict) -> Workspace:
         if missing:
             raise WorkspaceError(f"set {name!r} references unknown ids {missing}")
         sets[name] = registry.set_of(ids)
+
+    if doc.get("intervals") or doc.get("fuzzy"):
+        from .continuous import FuzzySet, IntervalUnion
 
     intervals: dict[str, IntervalUnion] = {}
     for name, pairs in doc.get("intervals", {}).items():

@@ -1,17 +1,23 @@
-"""Cold start: commands on small operands run without importing numpy, and
-the CLI imports no process pool until a `verify` of several suites.
+"""Cold start: commands on small operands run without importing numpy, a
+command imports only the modules of the package it runs, and the CLI imports
+no process pool until a `verify` of several suites.
 
 Each case runs in a fresh interpreter, since a module stays in
 ``sys.modules`` once any test of this process has imported it.
 """
 
+import importlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import setmetric
+from setmetric.continuous import _MEMO_MAX_PAIRS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,6 +35,29 @@ LARGE = {
     "elements": {f"p{k}": [float(k), float(k % 5)] for k in range(32)},
     "sets": {"A": [f"p{k}" for k in range(16)], "B": [f"p{k}" for k in range(16, 32)]},
 }
+
+
+def _fuzzy_workspace(sizes: dict[str, int], shift: int) -> dict:
+    """Fuzzy sets of the given sizes over 3-d points, each set starting
+    ``shift`` ids after the one before it, with grades from 0.05 to 1."""
+    ids = [f"q{k}" for k in range(shift * len(sizes) + max(sizes.values()))]
+    fuzzy = {}
+    for k, (name, size) in enumerate(sizes.items()):
+        members = ids[shift * k: shift * k + size]
+        fuzzy[name] = {eid: 0.05 + (7 * j % 20) / 20 for j, eid in enumerate(members)}
+    return {
+        "metric": {"kind": "euclidean"},
+        "elements": {eid: [k % 7 / 7, k % 5 / 5, k % 3 / 3] for k, eid in enumerate(ids)},
+        "fuzzy": fuzzy,
+    }
+
+
+# three 30-member sets, each sharing 20 members with the next, as the
+# benchmark's; and two pairs on either side of the memo bound
+_SIDE = math.isqrt(_MEMO_MAX_PAIRS)
+FUZZY = _fuzzy_workspace({"F1": 30, "F2": 30, "F3": 30}, shift=10)
+AT_BOUND = _fuzzy_workspace({"A": _SIDE, "B": _MEMO_MAX_PAIRS // _SIDE}, shift=_SIDE)
+ABOVE_BOUND = _fuzzy_workspace({"A": _SIDE, "B": _MEMO_MAX_PAIRS // _SIDE + 1}, shift=_SIDE)
 
 
 def module_loaded(statements: str, module: str = "numpy") -> bool:
@@ -49,7 +78,8 @@ def cli_run(argv: list[str]) -> str:
 @pytest.fixture(scope="module")
 def workspaces(tmp_path_factory):
     paths = {}
-    for name, doc in (("small", SMALL), ("large", LARGE)):
+    for name, doc in (("small", SMALL), ("large", LARGE), ("fuzzy", FUZZY),
+                      ("at_bound", AT_BOUND), ("above_bound", ABOVE_BOUND)):
         path = tmp_path_factory.mktemp("ws") / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
@@ -93,3 +123,49 @@ def test_block_sized_operands_load_numpy(workspaces):
     # the block path is still taken from 256 pairs on
     argv = ["dist", "--workspace", workspaces["large"], "--family", "f", "A", "B"]
     assert module_loaded(cli_run(argv))
+
+
+@pytest.mark.parametrize("module", [
+    "dataclasses", "setmetric.verify", "setmetric.axioms", "setmetric.hierarchy",
+    "setmetric.power_means",
+])
+@pytest.mark.parametrize("argv", [
+    ["dist", "--family", "interval", "I", "J"],
+    ["matrix", "--family", "steinhaus", "I", "J", "K"],
+    ["dist", "--family", "f", "A", "B"],
+], ids=["dist-interval", "matrix-steinhaus", "dist-f"])
+def test_small_workspace_commands_load_only_what_they_run(workspaces, argv, module):
+    argv = [argv[0], "--workspace", workspaces["small"], *argv[1:]]
+    assert not module_loaded(cli_run(argv), module)
+
+
+@pytest.mark.parametrize("module", ["setmetric.continuous", "setmetric.verify"])
+def test_random_axiom_check_loads_only_what_it_runs(module):
+    assert not module_loaded(cli_run(["axioms", "--random", "--family", "f", "--n", "20"]), module)
+
+
+def test_small_fuzzy_sets_do_not_load_numpy(workspaces):
+    argv = ["matrix", "--workspace", workspaces["fuzzy"], "--family", "fuzzy", "F1", "F2", "F3"]
+    assert not module_loaded(cli_run(argv))
+
+
+def test_fuzzy_pairs_above_the_memo_bound_load_numpy(workspaces):
+    # the choice follows the count of member pairs, on either side of the bound
+    def argv(name):
+        return ["dist", "--workspace", workspaces[name], "--family", "fuzzy", "A", "B"]
+
+    assert not module_loaded(cli_run(argv("at_bound")))
+    assert module_loaded(cli_run(argv("above_bound")))
+
+
+def test_bare_import_loads_no_module_of_the_package():
+    assert not module_loaded("import setmetric", "setmetric.core")
+    assert module_loaded("import setmetric\nassert setmetric.core.FiniteSet", "setmetric.core")
+
+
+def test_public_names_are_the_attributes_of_their_modules():
+    for name in setmetric.__all__:
+        module = importlib.import_module(f"setmetric.{setmetric._MODULE_OF[name]}")
+        assert getattr(setmetric, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        setmetric.no_such_name
