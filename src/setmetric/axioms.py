@@ -20,7 +20,7 @@ import random
 from collections import Counter
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .core import MAX_COORDINATES, MAX_TRIPLES, ElementRegistry, FiniteSet
+from .core import MAX_COORDINATES, MAX_TRIPLES, ElementRegistry, FiniteSet, _require_integer
 from .errors import ParameterError
 
 METRIC_AXIOMS = ("M1", "M2", "M3", "M4", "M5")
@@ -80,6 +80,7 @@ def check_axioms(
     axioms: Sequence[str] = METRIC_AXIOMS,
 ) -> AxiomReport:
     """Sample ``n`` operand triples and record every axiom violation."""
+    _require_integer("sample count", n)
     if n < 1:
         raise ParameterError(f"need at least one sample, got n={n}")
     if n > MAX_TRIPLES:

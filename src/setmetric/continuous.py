@@ -46,6 +46,7 @@ from .core import (
     _id_sort_key,
     _Memo,
     _quotient,
+    _require_integer,
     _set_average,
     average_metric,
 )
@@ -67,7 +68,7 @@ _MAX_BOUND = 2.0**1022
 class Interval(_Frozen):
     """Closed real interval [lo, hi]."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = _fields = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float):
         lo, hi = float(lo), float(hi)
@@ -78,12 +79,6 @@ class Interval(_Frozen):
             raise ParameterError(f"interval bounds out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def _key(self) -> tuple:
-        return (self.lo, self.hi)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(lo={self.lo!r}, hi={self.hi!r})"
 
     @property
     def length(self) -> float:
@@ -106,13 +101,10 @@ class IntervalUnion(_Frozen):
     distances reject such operands explicitly.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: Iterable[Interval]):
         object.__setattr__(self, "parts", _canonical_parts(parts))
-
-    def _key(self) -> tuple:
-        return (self.parts,)
 
     @classmethod
     def of(cls, parts: Iterable[IntervalLike]) -> "IntervalUnion":
@@ -325,7 +317,7 @@ class SamplePlan(_Frozen):
     ("random" for seeded uniform draws, "systematic" for an equal-measure
     grid over an interval population)."""
 
-    __slots__ = ("population", "n", "seed", "mode")
+    __slots__ = _fields = ("population", "n", "seed", "mode")
 
     def __init__(self, population: Union[IntervalUnion, FiniteSet], n: int, seed: int = 0,
                  mode: str = "random"):
@@ -334,6 +326,8 @@ class SamplePlan(_Frozen):
                 "sampling population must be an IntervalUnion or a FiniteSet, "
                 f"got {type(population).__name__}"
             )
+        _require_integer("sample count", n)
+        _require_integer("sampling seed", seed)
         if n < 1:
             raise ParameterError(f"sample count must be >= 1, got {n}")
         if n > MAX_SAMPLES:
@@ -346,13 +340,6 @@ class SamplePlan(_Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "mode", mode)
-
-    def _key(self) -> tuple:
-        return (self.population, self.n, self.seed, self.mode)
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(population={self.population!r}, n={self.n!r}, "
-                f"seed={self.seed!r}, mode={self.mode!r})")
 
 
 class EstimateResult(NamedTuple):
@@ -487,7 +474,7 @@ _MEMO_MAX_PAIRS = 36 * 36
 class FuzzySet(_Frozen):
     """Membership function over a finite universe of element ids."""
 
-    __slots__ = ("membership",)
+    __slots__ = _fields = ("membership",)
 
     def __init__(self, membership: Mapping[ElementId, float] | Iterable[tuple[ElementId, float]]):
         if isinstance(membership, Mapping):
@@ -500,12 +487,6 @@ class FuzzySet(_Frozen):
         if not any(grade > 0 for _, grade in items):
             raise ParameterError("fuzzy set needs at least one positive membership")
         object.__setattr__(self, "membership", items)
-
-    def _key(self) -> tuple:
-        return (self.membership,)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(membership={self.membership!r})"
 
     def alpha_cut(self, alpha: float) -> frozenset:
         if not 0.0 < alpha <= 1.0:

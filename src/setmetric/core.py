@@ -71,17 +71,24 @@ def _id_sort_key(eid: ElementId) -> tuple:
     return (isinstance(eid, str), eid)
 
 
+def _require_integer(what: str, value: Any) -> None:
+    """A count or a seed is an integer, numpy's included, and not a bool."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
 class _Frozen:
     """A value set once by ``__init__``, through ``object.__setattr__``.
 
-    Assignment and deletion raise ``AttributeError``. Each subclass defines
-    ``_key()``, the tuple of its fields, which are also its constructor's
-    arguments: two values are equal when they are of one type and their keys
-    are equal, a value hashes as its key, and it is pickled and copied as its
-    type called on its key.
+    Assignment and deletion raise ``AttributeError``. ``_fields`` names the
+    constructor's arguments, in order; a further slot (``FiniteSet.ids``) is
+    derived from them. Values of one type are equal when their fields are, a
+    value hashes as the tuple of its fields, prints as ``Type(field=value,
+    ...)``, and is pickled and copied as its type called on its fields.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -100,25 +107,26 @@ class _Frozen:
     def __reduce__(self) -> tuple:
         return type(self), self._key()
 
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
 
 class Element(_Frozen):
-    """An identity-bearing point: equality and set algebra use the id only.
+    """An identity-bearing point: set algebra reads its id, equality its id and payload.
 
     Its fields are slots rather than NamedTuple fields because every ground
     distance reads two of them: with a NamedTuple, ``EuclideanMetric.distance``
     took ~0.38 µs against ~0.33 µs (CPython 3.11, 2-vCPU VM)."""
 
-    __slots__ = ("id", "payload")
+    __slots__ = _fields = ("id", "payload")
 
     def __init__(self, id: ElementId, payload: Any = None):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "payload", payload)
-
-    def _key(self) -> tuple:
-        return (self.id, self.payload)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(id={self.id!r}, payload={self.payload!r})"
 
 
 class ElementRegistry:
@@ -180,7 +188,8 @@ class FiniteSet(_Frozen):
     rejects them explicitly.
     """
 
-    __slots__ = ("registry", "members", "ids")
+    _fields = ("registry", "members")
+    __slots__ = _fields + ("ids",)
 
     def __init__(self, registry: ElementRegistry, members: Iterable[ElementId]):
         ids = frozenset(members)
@@ -191,9 +200,6 @@ class FiniteSet(_Frozen):
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "members", canonical)
         object.__setattr__(self, "ids", ids)
-
-    def _key(self) -> tuple:
-        return (self.registry, self.members)
 
     def elements(self) -> list[Element]:
         return [self.registry.element(eid) for eid in self.members]
@@ -248,6 +254,7 @@ class BaseMetric:
     redefines ``distance`` restates it.
     """
 
+    __slots__ = ()
     symmetric = False
 
     def distance(self, x: Element, y: Element) -> float:
@@ -277,30 +284,20 @@ def _require_scale(lam: float) -> None:
 class DiscreteMetric(BaseMetric, _Frozen):
     """d(x,y) = 0 when the ids coincide, else a fixed finite positive scale."""
 
+    __slots__ = _fields = ("lam",)
     symmetric = True
 
     def __init__(self, lam: float = 1.0):
         _require_scale(lam)
         object.__setattr__(self, "lam", lam)
 
-    def _key(self) -> tuple:
-        return (self.lam,)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(lam={self.lam!r})"
-
     def distance(self, x: Element, y: Element) -> float:
         return 0.0 if x.id == y.id else self.lam
 
 
 class EuclideanMetric(BaseMetric, _Frozen):
+    __slots__ = ()
     symmetric = True  # |x_k - y_k| == |y_k - x_k| in floating point too
-
-    def _key(self) -> tuple:
-        return ()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}()"
 
     def distance(self, x: Element, y: Element) -> float:
         px, py = _vector_pair(x, y)
@@ -341,18 +338,13 @@ class EuclideanMetric(BaseMetric, _Frozen):
 class LpMetric(BaseMetric, _Frozen):
     """L_p distance on vector payloads, 1 <= p < inf."""
 
+    __slots__ = _fields = ("p",)
     symmetric = True
 
     def __init__(self, p: float = 2.0):
         if not 1 <= p < math.inf:
             raise ParameterError(f"lp metric needs a finite p >= 1, got {p}")
         object.__setattr__(self, "p", p)
-
-    def _key(self) -> tuple:
-        return (self.p,)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(p={self.p!r})"
 
     def distance(self, x: Element, y: Element) -> float:
         px, py = _vector_pair(x, y)

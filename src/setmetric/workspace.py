@@ -62,11 +62,6 @@ class Workspace:
         self.intervals = {} if intervals is None else intervals
         self.fuzzy = {} if fuzzy is None else fuzzy
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
 
 def metric_from_config(config: dict) -> BaseMetric:
     if not isinstance(config, dict) or "kind" not in config:

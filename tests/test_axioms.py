@@ -147,6 +147,16 @@ def test_invalid_arguments_rejected(plane_pool):
         check_axioms(fn, sampler, n=10, tolerance=float("nan"))
 
 
+@pytest.mark.parametrize("n", [2.5, float("nan"), True])
+def test_sample_count_must_be_an_integer(n):
+    # a float failed late in range(), and True checked one triple
+    def untouched(*args):
+        raise AssertionError("called before the count was checked")
+
+    with pytest.raises(ParameterError, match=f"^sample count must be an integer, got {n!r}$"):
+        check_axioms(untouched, untouched, n=n)
+
+
 def test_resource_limits_are_checked_before_any_work():
     def untouched(*args):
         raise AssertionError("called before the limit was checked")

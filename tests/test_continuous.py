@@ -537,6 +537,17 @@ class TestEstimation:
         with pytest.raises(ParameterError):
             SamplePlan(U((0, 1)), n=10, mode="sorted")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.5), ("n", float("nan")), ("n", True), ("seed", 1.5), ("seed", False),
+    ])
+    def test_counts_and_seeds_must_be_integers(self, field, value):
+        # they failed late with a bare TypeError from numpy or range
+        what = "sample count" if field == "n" else "sampling seed"
+        with pytest.raises(ParameterError, match=f"^{what} must be an integer, got {value!r}$"):
+            SamplePlan(U((0, 1)), **{"n": 5, field: value})
+        assert SamplePlan(U((0, 1)), **{"n": 5, field: np.int64(3)}) == SamplePlan(
+            U((0, 1)), **{"n": 5, field: 3})
+
     def test_systematic_mode_needs_an_interval_population(self, line_registry):
         # the mode was ignored: the same sample as mode="random"
         with pytest.raises(ParameterError, match="systematic sampling needs an interval population"):

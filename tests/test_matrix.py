@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setmetric import cli
+from setmetric import EuclideanMetric, MatrixMetric, cli
 from setmetric.workspace import load_workspace
 
 N_IDS = 40
@@ -29,12 +29,17 @@ def run(argv, mirror=True):
 
     def unmirrored(path):
         ws = load_workspace(path)
-        object.__setattr__(ws.metric, "symmetric", False)  # frozen dataclasses too
+        # a frozen metric reads the flag from its class, a table from itself;
+        # a subclass would leave the block path for the scalar one
+        owner = ws.metric if isinstance(ws.metric, MatrixMetric) else type(ws.metric)
+        patches.enter_context(mock.patch.object(owner, "symmetric", False))
         return ws
 
     out, err = io.StringIO(), io.StringIO()
-    patch = contextlib.nullcontext() if mirror else mock.patch.object(cli, "load_workspace", unmirrored)
-    with patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    patches = contextlib.ExitStack()
+    if not mirror:
+        patches.enter_context(mock.patch.object(cli, "load_workspace", unmirrored))
+    with patches, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except Exception as exc:  # an escaping error must escape alike
@@ -160,7 +165,12 @@ def test_each_unordered_pair_is_evaluated_once(tmp_path, config, evaluated):
 
         return counted
 
-    with mock.patch.dict(cli.FAMILIES, {"f": family._replace(distance=counting)}):
-        code, _, _ = run(["matrix", "--workspace", str(path), "--family", "f", "A", "B", "C", "D"])
-    assert code == 0 and len(calls) == evaluated
+    # the reference run evaluates all 16 cells, and then restores the flag
+    for mirror, expected in ((True, evaluated), (False, 16)):
+        calls.clear()
+        with mock.patch.dict(cli.FAMILIES, {"f": family._replace(distance=counting)}):
+            code, _, _ = run(["matrix", "--workspace", str(path), "--family", "f",
+                              "A", "B", "C", "D"], mirror)
+        assert code == 0 and len(calls) == expected
+    assert EuclideanMetric.symmetric
 

@@ -30,7 +30,7 @@ from setmetric import (
     Workspace,
     fuzzy_distance,
 )
-from setmetric.core import _Memo
+from setmetric.core import _Frozen, _Memo
 from setmetric.verify import CheckRow
 
 REGISTRY = ElementRegistry({"a": [0.0], "b": [1.0], "c": [2.0]})
@@ -110,6 +110,12 @@ def test_pickle_and_copy(name):
         assert type(twin) is type(value) and repr(twin) == repr(value)
         if name not in ("FiniteSet", "SamplePlan"):
             assert twin == value
+
+
+@pytest.mark.parametrize("name", [name for name, case in CASES.items()
+                                  if isinstance(case[0](), _Frozen)])
+def test_values_have_no_instance_dict(name):
+    assert not hasattr(CASES[name][0](), "__dict__")
 
 
 def test_euclidean_metrics_compare_equal():
