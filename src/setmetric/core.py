@@ -25,8 +25,8 @@ Every finite-set distance above reads one matrix of cross distances d(x, y).
 Small matrices are evaluated pair by pair through ``distance``; from
 ``_BLOCK_MIN_PAIRS`` pairs on, under a Euclidean or table metric,
 ``_cross_rows`` produces the matrix with numpy, in chunks of rows. Every
-average, here and in the other modules, is one ``_quotient`` of a sum,
-finite wherever its exact value is; minima are evaluated again through
+average of floats, here and in the other modules, is one ``_quotient`` of a
+sum, finite wherever its exact value is; minima are evaluated again through
 ``distance`` where the block cannot tell them apart, so they are exact.
 
 numpy is imported inside the functions that use it: the block path and

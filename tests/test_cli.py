@@ -5,8 +5,10 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from test_continuous import spaced_integral
 
 WORKSPACE = {
     "metric": {"kind": "discrete", "lambda": 1.0},
@@ -196,9 +198,10 @@ def test_table_above_the_id_limit_exits_2(tmp_path):
     assert "from 1 to 1,000 ids, got 1,001" in result.stderr
 
 
-# this command, over 10,008,338 pairs of parts, took 3.5 s on a 2-vCPU VM
-def test_interval_reference_above_the_part_pair_limit_exits_2(tmp_path):
-    parts = [[2 * k, 2 * k + 1] for k in range(2237)]
+# a limit of 10^7 pairs of parts refused this reference (10,008,338 pairs, 3.5 s on a 2-vCPU VM)
+def test_interval_reference_of_2237_parts(tmp_path):
+    n = 2237
+    parts = [[2 * k, 2 * k + 1] for k in range(n)]
     doc = {
         "elements": {}, "sets": {},
         "intervals": {"I": parts, "J": [[lo + 0.5, hi + 0.5] for lo, hi in parts], "P": [[0, 4475]]},
@@ -207,9 +210,11 @@ def test_interval_reference_above_the_part_pair_limit_exits_2(tmp_path):
     path.write_text(json.dumps(doc))
     result = run_cli("estimate", "--workspace", str(path), "I", "J",
                      "--n", "100", "--seed", "0", "--population", "P")
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == ("error: interval distances visit at most 10,000,000 pairs of parts, "
-                             "got 10,008,338\n")
+    assert (result.returncode, result.stderr) == (0, "")
+    # I\J and J\I are the halves [2k, 2k + 0.5] and [2k + 1, 2k + 1.5]
+    exact = (spaced_integral(n, (0, 1), (1, 1.5)) + spaced_integral(n, (0, 0.5), (0.5, 1.5))
+             ) / (Fraction(3, 2) * n**2)
+    assert f"reference {float(exact):.12g}\n" in result.stdout
 
 
 # f printed inf, and u exited 2 with the misleading "mean of a NaN value"
@@ -507,13 +512,16 @@ class TestEstimate:
         (["I", "J", "--population", "P1"],
          "population 'P1' does not cover the operands (uncovered measure 0.5)"),
         (["A", "B", "--population", "P"], "population 'P' does not cover the operands"),
+        # numpy refused the seed only when drawing, with a ValueError traceback
+        (["I", "J", "--population", "P2", "--seed", "-1"], "sampling seed must be >= 0, got -1"),
+        (["A", "B", "--seed", "-1"], "sampling seed must be >= 0, got -1"),
     ])
     def test_refusals_exit_2(self, tmp_path, argv, message):
         path = tmp_path / "workspace.json"
         path.write_text(json.dumps({
             "elements": {"1": None, "2": None},
             "sets": {"A": ["1"], "B": ["2"], "P": ["1"]},
-            "intervals": {"I": [[0, 1]], "J": [[0.5, 1.5]], "P1": [[0, 1]]},
+            "intervals": {"I": [[0, 1]], "J": [[0.5, 1.5]], "P1": [[0, 1]], "P2": [[0, 2]]},
         }))
         result = run_cli("estimate", "--workspace", str(path), *argv, "--n", "10")
         assert (result.returncode, result.stdout) == (2, "")

@@ -39,7 +39,6 @@ from setmetric import (
     steinhaus,
 )
 from setmetric.continuous import (
-    MAX_PART_PAIRS,
     MAX_SAMPLES,
     _abs_cross_sum,
     _average_metric_1d,
@@ -327,20 +326,38 @@ def spaced(n, offset=0.0):
     return U(*[(offset + 2 * k, offset + 2 * k + 1) for k in range(n)])
 
 
-class TestPartPairLimit:
-    # refused before any pair is visited: 10,000,000 pairs take about 2 s
-    def test_group_average_counts_every_pair_of_parts(self):
-        a = spaced(3163)
-        assert len(a.parts) ** 2 == 10_004_569 > MAX_PART_PAIRS
-        with pytest.raises(ParameterError, match="at most 10,000,000 pairs of parts, got 10,004,569"):
-            interval_group_average(a, a)
+def spaced_integral(n, x, y) -> Fraction:
+    """The double integral of |s - t| over s in X and t in Y, whose parts are
+    the intervals ``x`` and ``y`` shifted by 2k for k < n, in O(n): the n - |d|
+    pairs of parts at offset d, y shifted by 2d against x, have one integral,
+    L^3 / 3 where the two are equal and L_x L_y |c_x - c_y| where they are apart."""
+    (x1, x2), (y1, y2) = (map(Fraction, x), map(Fraction, y))
+    total = Fraction(0)
+    for d in range(1 - n, n):
+        z1, z2 = y1 + 2 * d, y2 + 2 * d
+        if (z1, z2) == (x1, x2):
+            term = (x2 - x1) ** 3 / 3
+        else:
+            assert z2 <= x1 or x2 <= z1
+            term = (x2 - x1) * (z2 - z1) * abs((z1 + z2) - (x1 + x2)) / 2
+        total += (n - abs(d)) * term
+    return total
 
-    def test_average_metric_counts_the_pairs_of_its_differences(self):
+
+# a limit of 10^7 pairs of parts refused these; the sweep is linear in the parts
+class TestManyParts:
+    def test_group_average_of_3163_parts(self):
+        a = spaced(3163)
+        exact = spaced_integral(3163, (0, 1), (0, 1)) / 3163**2
+        assert interval_group_average(a, a) == float(exact)
+
+    def test_average_metric_of_2237_parts(self):
+        n = 2237
+        a, b = spaced(n), spaced(n, 0.5)
         # A\B and B\A are the halves [2k, 2k + 0.5] and [2k + 1, 2k + 1.5]
-        a, b = spaced(2237), spaced(2237, 0.5)
-        with pytest.raises(ParameterError, match="at most 10,000,000 pairs of parts, got 10,008,338"):
-            interval_average_metric(a, b)
-        # equal operands have empty differences: no pair to visit
+        exact = (spaced_integral(n, (0, 1), (1, 1.5)) * n + spaced_integral(n, (0, 0.5), (0.5, 1.5)) * n
+                 ) / (n * n * Fraction(3, 2) * n)
+        assert interval_average_metric(a, b) == float(exact)
         big = spaced(3163)
         assert interval_average_metric(big, big) == 0.0
 
@@ -427,22 +444,42 @@ MIXED_LENGTH = st.builds(operator.mul, st.sampled_from([1e-300, 1e-10, 1.0, 1e20
                          st.one_of(st.just(1.0), st.floats(0.25, 1.0)))
 MIXED_PART = st.builds(lambda lo, length: Interval(lo, min(lo + length, 2.0**1022)),
                        MIXED_LO, MIXED_LENGTH)
-MIXED_UNION = st.lists(MIXED_PART, min_size=1, max_size=4).map(
-    lambda parts: IntervalUnion(tuple(parts))).filter(lambda u: u.measure > 0)
 
 
-# The bounds in the docstrings: each distance is within 4 ulps of the exact
-# rational value (largest seen in 62,000 random cases: 3.4 ulps for the group
-# average, 2.9 for the metric, 2.6 for the closed form under containment).
+@st.composite
+def mixed_union(draw, pool):
+    """1 to 12 parts at mixed scales. A part starts at a drawn point or at a
+    point of ``pool``, ends a drawn length on or at such a point, and reaches
+    at most to the next start, so that few parts merge. Unions drawn over one
+    pool share their endpoints: their parts touch and overlap."""
+    point = st.one_of(st.sampled_from(pool), MIXED_LO)
+    los = sorted(set(draw(st.lists(point, min_size=1, max_size=12))))
+    parts = []
+    for lo, following in zip(los, los[1:] + [2.0**1022]):
+        hi = draw(st.one_of(MIXED_LENGTH.map(lambda length: lo + length), point))
+        parts.append(Interval(lo, min(max(hi, lo), following)))
+    return IntervalUnion(tuple(parts))
+
+
+MIXED_UNIONS = st.lists(MIXED_LO, min_size=1, max_size=8).flatmap(
+    lambda pool: st.tuples(mixed_union(pool), mixed_union(pool))).filter(
+    lambda pair: pair[0].measure > 0 and pair[1].measure > 0)
+
+
+# The union distances are the exact rational values correctly rounded. The
+# closed form under containment is within 4 ulps of it (2.6 the most seen in
+# 62,000 random cases).
 class TestExactOracle:
     @settings(max_examples=300, deadline=None)
-    @given(MIXED_UNION, MIXED_UNION)
-    @example(U((0, 1e-300)), U((-4e307, 4e307)))
-    @example(U((0, 4e307)), U((-1e-290, -1e-300), (0, 4e307)))
-    def test_union_distances(self, a, b):
+    @given(MIXED_UNIONS)
+    @example((U((0, 1e-300)), U((-4e307, 4e307))))
+    @example((U((0, 4e307)), U((-1e-290, -1e-300), (0, 4e307))))
+    @example((U((0, 1.5e-323)), U((5e-324, 2.5e-323))))  # subnormal values
+    def test_union_distances(self, pair):
+        a, b = pair
         exact = exact_integral(a.parts, b.parts) / (exact_measure(a.parts) * exact_measure(b.parts))
-        assert ulps_off(interval_group_average(a, b), exact) <= 4
-        assert ulps_off(interval_average_metric(a, b), exact_metric(a.parts, b.parts)) <= 4
+        assert interval_group_average(a, b) == float(exact)
+        assert interval_average_metric(a, b) == float(exact_metric(a.parts, b.parts))
 
     @settings(max_examples=300, deadline=None)
     @given(MIXED_PART, st.floats(0, 1), st.floats(0, 1))
@@ -547,6 +584,12 @@ class TestEstimation:
             SamplePlan(U((0, 1)), **{"n": 5, field: value})
         assert SamplePlan(U((0, 1)), **{"n": 5, field: np.int64(3)}) == SamplePlan(
             U((0, 1)), **{"n": 5, field: 3})
+
+    def test_negative_seed_rejected(self, line_registry):
+        # numpy refused it only when the sample was drawn, with a ValueError
+        for population in (U((0, 1)), line_registry.universe()):
+            with pytest.raises(ParameterError, match="^sampling seed must be >= 0, got -1$"):
+                SamplePlan(population, n=5, seed=-1)
 
     def test_systematic_mode_needs_an_interval_population(self, line_registry):
         # the mode was ignored: the same sample as mode="random"
