@@ -30,6 +30,7 @@ members.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -115,15 +116,18 @@ class IntervalUnion(_Frozen):
         return math.fsum(p.length for p in self.parts)
 
     def contains(self, x: float) -> bool:
-        import numpy as np
-        return bool(self._inside(np.array([x], dtype=float))[0])
+        # the part that starts last at or before x, if any; every comparison
+        # is false for nan
+        k = bisect.bisect_right(self.parts, x, key=operator.attrgetter("lo"))
+        return k > 0 and x <= self.parts[k - 1].hi
 
     def _inside(self, points: np.ndarray) -> np.ndarray:
         """Mask of the points that lie in a part, both ends included."""
         import numpy as np
         starts = np.array([p.lo for p in self.parts])
-        # a point before every part indexes the -inf after the last end
-        ends = np.array([p.hi for p in self.parts] + [-math.inf])
+        # a point before every part indexes the nan after the last end, which
+        # no point, -inf included, is at or below
+        ends = np.array([p.hi for p in self.parts] + [math.nan])
         return points <= ends[np.searchsorted(starts, points, side="right") - 1]
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":

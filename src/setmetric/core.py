@@ -29,10 +29,11 @@ average of floats, here and in the other modules, is one ``_quotient`` of a
 sum, finite wherever its exact value is; minima are evaluated again through
 ``distance`` where the block cannot tell them apart, so they are exact.
 
-numpy is imported inside the functions that use it: the block path and
-``MatrixMetric`` validation. The scalar path never loads it, nor does a
-ground metric read through ``_Memo``, which ``continuous.fuzzy_distance``
-uses for small fuzzy sets.
+numpy is imported inside the functions that use it: the block path and the
+triangle check of a ``MatrixMetric``, at the first read of one of its
+distances. The scalar path never loads it otherwise, nor does a ground
+metric read through ``_Memo``, which ``continuous.fuzzy_distance`` uses for
+small fuzzy sets, nor building a table, whose cells are checked in Python.
 """
 
 from __future__ import annotations
@@ -360,18 +361,29 @@ class LpMetric(BaseMetric, _Frozen):
         return total ** (1.0 / self.p)
 
 
-# The most ids a distance table accepts: validating its n^3 triangles took
-# 2.7 s and 100 MB at 1,000 ids on a 2-vCPU VM.
+# The most ids a distance table accepts: at 1,000 ids the cell checks took
+# 0.16 s and the n^3 triangles 1.4 s more, and a command that read the table
+# 88 MB (2-vCPU VM).
 MAX_TABLE_IDS = 1000
+
+# float64 values per temporary of the triangle check (1 MiB); a single row
+# of a table of more than 362 ids takes more
+_TRIANGLE_VALUES = 2**17
 
 
 class MatrixMetric(BaseMetric):
-    """Explicit symmetric distance table over ids, axiom-checked on load.
+    """Explicit symmetric distance table over ids, checked in two steps.
 
-    A table flagged ``pseudo`` may contain off-diagonal zeros (distinct ids
-    at distance zero); finite cells, non-negativity, zero diagonal, symmetry
-    and the triangle inequality are enforced either way, within 1e-12;
-    ``symmetric`` records whether symmetry holds exactly.
+    Construction checks every cell, without numpy: finite cells,
+    non-negativity, zero diagonal and symmetry, within 1e-12, and no zero
+    between distinct ids unless the table is flagged ``pseudo`` (a
+    pseudo-metric). The triangle inequality, n^3 comparisons, is checked
+    with numpy at the first read of a distance, through ``distance`` or the
+    block path, so a command that never reads the table (``jaccard``,
+    ``symdiff_cardinality``) never pays for it. A table that fails it
+    raises ``ParameterError`` at every read. ``ids``, ``pseudo`` and
+    ``symmetric``, which records whether symmetry holds exactly, are set by
+    construction.
     """
 
     def __init__(
@@ -380,7 +392,6 @@ class MatrixMetric(BaseMetric):
         values: Sequence[Sequence[float]],
         pseudo: bool = False,
     ):
-        import numpy as np
         tolerance = 1e-12
         ids = tuple(ids)
         if len(set(ids)) != len(ids):
@@ -388,58 +399,81 @@ class MatrixMetric(BaseMetric):
         n = len(ids)
         if not 0 < n <= MAX_TABLE_IDS:
             raise ParameterError(f"matrix metric needs from 1 to {MAX_TABLE_IDS:,} ids, got {n:,}")
-        rows = tuple(tuple(float(v) for v in row) for row in values)
+        rows = tuple(tuple(map(float, row)) for row in values)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ParameterError(f"matrix metric table must be {n}x{n}")
-        table = np.array(rows, dtype=np.float64)
-        # every comparison below is false for NaN, and no triangle catches an
-        # infinite pair of two ids
-        nonfinite = np.flatnonzero(~np.isfinite(table))
-        if nonfinite.size:
-            i, j = divmod(int(nonfinite[0]), n)
-            kind = "undefined" if math.isnan(rows[i][j]) else "infinite"
-            raise ParameterError(f"{kind} distance between {ids[i]!r} and {ids[j]!r}")
-        # Each failure is reported at the first (i, j) or (i, j, k) in the
-        # order of the loops "for i: diagonal, then for j: negative,
-        # asymmetric, zero", then "for i, j, k: triangle".
-        negative = table < -tolerance
-        asymmetric = np.abs(table - table.T) > tolerance
-        if pseudo:
-            zero = np.zeros((n, n), dtype=bool)
-        else:
-            zero = (table <= tolerance) & ~np.eye(n, dtype=bool)
-        bad_cell = negative | asymmetric | zero
-        failing = np.flatnonzero((np.abs(table.diagonal()) > tolerance) | bad_cell.any(axis=1))
-        if failing.size:
-            i = int(failing[0])
-            if abs(rows[i][i]) > tolerance:
+        # Each failure is reported at the first (i, j) in the order of the
+        # loops "for i, j: non-finite", then "for i: diagonal, then for j:
+        # negative, asymmetric, zero"; a row is read cell by cell only once
+        # it is known to fail. Every comparison is false for NaN, and no
+        # triangle catches an infinite pair of two ids.
+        for i, row in enumerate(rows):
+            if not all(map(math.isfinite, row)):
+                j = next(j for j, v in enumerate(row) if not math.isfinite(v))
+                kind = "undefined" if math.isnan(row[j]) else "infinite"
+                raise ParameterError(f"{kind} distance between {ids[i]!r} and {ids[j]!r}")
+        columns = tuple(zip(*rows))
+        for i, (row, column) in enumerate(zip(rows, columns)):
+            if abs(row[i]) > tolerance:
                 raise ParameterError(f"nonzero self-distance for id {ids[i]!r}")
-            j = int(np.argmax(bad_cell[i]))
-            if negative[i, j]:
-                raise ParameterError(f"negative distance between {ids[i]!r} and {ids[j]!r}")
-            if asymmetric[i, j]:
-                raise ParameterError(f"asymmetric table at {ids[i]!r}/{ids[j]!r}")
-            raise ParameterError(
-                f"zero distance between distinct ids {ids[i]!r} and "
-                f"{ids[j]!r}; flag the table as pseudo to allow it"
-            )
+            least = min(row[:i] + row[i + 1:], default=math.inf)
+            if (least >= -tolerance if pseudo else least > tolerance) and (
+                    row == column or max(map(abs, map(operator.sub, row, column))) <= tolerance):
+                continue
+            for j, (v, w) in enumerate(zip(row, column)):
+                if v < -tolerance:
+                    raise ParameterError(f"negative distance between {ids[i]!r} and {ids[j]!r}")
+                if abs(v - w) > tolerance:
+                    raise ParameterError(f"asymmetric table at {ids[i]!r}/{ids[j]!r}")
+                if j != i and not pseudo and v <= tolerance:
+                    raise ParameterError(
+                        f"zero distance between distinct ids {ids[i]!r} and "
+                        f"{ids[j]!r}; flag the table as pseudo to allow it"
+                    )
+        self.ids = ids
+        self.pseudo = pseudo
+        self.symmetric = rows == columns
+        self._rows = rows
+
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        """The table as a float64 array, once every triangle passes.
+
+        A failure is reported at the first (i, j, k) in the order of the
+        loops "for i, j, k: R[i, k] > (R[i, j] + R[j, k]) + 1e-12". Some j
+        fails for (i, k) exactly when R[i, k] exceeds the least sum over j
+        plus the tolerance, as rounding is monotone, so that least sum is
+        taken for a block of rows at once and only a failing row is read
+        again for its j.
+        """
+        import numpy as np
+        tolerance = 1e-12
+        table = np.array(self._rows, dtype=np.float64)
+        n = len(table)
+        step = max(1, _TRIANGLE_VALUES // (n * n))
         # a sum that overflows to inf is no violation, as its exact value is not
         with np.errstate(over="ignore"):
-            for i in range(n):
-                # violated[j, k]: R[i, k] > (R[i, j] + R[j, k]) + tol, summed as the loop did
-                violated = table[i] > (table[i][:, None] + table) + tolerance
-                if violated.any():
+            for i0 in range(0, n, step):
+                block = table[i0:i0 + step]
+                least = (block[:, :, None] + table).min(axis=1)
+                failing = np.flatnonzero((block > least + tolerance).any(axis=1))
+                if failing.size:
+                    i = i0 + int(failing[0])
+                    violated = table[i] > (table[i][:, None] + table) + tolerance
                     j, k = divmod(int(np.argmax(violated)), n)
+                    ids = self.ids
                     raise ParameterError(
                         "triangle inequality fails for ids "
                         f"({ids[i]!r}, {ids[j]!r}, {ids[k]!r})"
                     )
-        self.ids = ids
-        self.pseudo = pseudo
-        self.symmetric = bool((table == table.T).all())
-        self._index = {eid: k for k, eid in enumerate(ids)}
-        self._rows = rows
-        self._table = table
+        return table
+
+    @functools.cached_property
+    def _index(self) -> dict[ElementId, int]:
+        """The row of each id, built after ``_table``: ``distance`` and
+        ``_operand`` read it first, so their first call checks the triangles."""
+        self._table
+        return {eid: k for k, eid in enumerate(self.ids)}
 
     def distance(self, x: Element, y: Element) -> float:
         try:

@@ -16,7 +16,11 @@ Schema::
     }
 
 Exactly one metric is active per workspace. Every named set may reference
-only registered ids; violations are reported at load time.
+only registered ids; violations are reported at load time. So are the
+cells of a ``matrix`` table, but not its triangle inequality, which is
+checked at the first read of a distance (see ``core.MatrixMetric``): a
+command that reads none, such as ``dist --family j``, accepts a table that
+fails only that check.
 """
 
 from __future__ import annotations
@@ -67,8 +71,12 @@ def metric_from_config(config: dict) -> BaseMetric:
     if not isinstance(config, dict) or "kind" not in config:
         raise WorkspaceError('metric config must be an object with a "kind"')
     kind = config["kind"]
-    if kind == "matrix" and ("ids" not in config or "values" not in config):
-        raise WorkspaceError('matrix metric needs "ids" and "values"')
+    pseudo = config.get("pseudo", False)
+    if kind == "matrix":
+        if "ids" not in config or "values" not in config:
+            raise WorkspaceError('matrix metric needs "ids" and "values"')
+        if not isinstance(pseudo, bool):  # bool("false") is True
+            raise WorkspaceError(f'matrix metric "pseudo" must be true or false, got {pseudo!r}')
     try:
         if kind == "discrete":
             return DiscreteMetric(lam=float(config.get("lambda", 1.0)))
@@ -77,11 +85,7 @@ def metric_from_config(config: dict) -> BaseMetric:
         if kind == "lp":
             return LpMetric(p=float(config.get("p", 2.0)))
         if kind == "matrix":
-            return MatrixMetric(
-                ids=config["ids"],
-                values=config["values"],
-                pseudo=bool(config.get("pseudo", False)),
-            )
+            return MatrixMetric(ids=config["ids"], values=config["values"], pseudo=pseudo)
     except (TypeError, ValueError) as exc:  # ParameterError is a ValueError
         raise WorkspaceError(f"invalid metric config: {exc}") from exc
     raise WorkspaceError(f"unknown metric kind {kind!r}")

@@ -162,6 +162,10 @@ def test_nan_and_infinite_parameters_exit_2(ws, argv, message):
      ["--family", "f", "A", "B"]),
     ({"elements": {"a": [], "b": []}, "sets": {"A": ["a"], "B": ["b"]}},
      ["--family", "f", "A", "B"]),
+    # bool("false") is True: the table loaded as a pseudo-metric and f printed 0
+    ({"metric": {"kind": "matrix", "ids": ["a", "b"], "values": [[0, 0], [0, 0]], "pseudo": "false"},
+      "elements": {"a": None, "b": None}, "sets": {"A": ["a"], "B": ["b"]}},
+     ["--family", "f", "A", "B"]),
     # bounds beyond ±2^1022: a union measure of inf ended in a traceback
     ({"intervals": {"I": [[-1.7e308, 1.7e308]], "J": [[0, 1]]}}, ["--family", "steinhaus", "I", "J"]),
 ])
@@ -196,6 +200,44 @@ def test_table_above_the_id_limit_exits_2(tmp_path):
     result = run_cli("dist", "--workspace", str(path), "--family", "j", "A", "A")
     assert (result.returncode, result.stdout) == (2, "")
     assert "from 1 to 1,000 ids, got 1,001" in result.stderr
+
+
+# d(a, c) = 9 > d(a, b) + d(b, c) = 3: every cell passes, the triangle check does not
+TRIANGLE_FAILS = {
+    "metric": {"kind": "matrix", "ids": ["a", "b", "c"],
+               "values": [[0, 1, 9], [1, 0, 2], [9, 2, 0]]},
+    "elements": {"a": None, "b": None, "c": None},
+    "sets": {"A": ["a"], "B": ["b", "c"]},
+    "fuzzy": {"FA": {"a": 1.0}, "FB": {"b": 1.0, "c": 0.5}},
+}
+
+
+@pytest.fixture(scope="module")
+def triangle_ws(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ws") / "triangle.json"
+    path.write_text(json.dumps(TRIANGLE_FAILS))
+    return str(path)
+
+
+# the table is checked for triangles only where a distance is read
+@pytest.mark.parametrize("family, stdout", [("j", "1\n"), ("symdiff", "3\n")])
+def test_families_that_read_no_distance_accept_a_table_failing_a_triangle(
+        triangle_ws, family, stdout):
+    result = run_cli("dist", "--workspace", triangle_ws, "--family", family, "A", "B")
+    assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
+
+
+@pytest.mark.parametrize("argv", [
+    *[["dist", "--family", family, "A", "B"] for family in ("f", "g", "e", "h", "u", "v", "fk")],
+    ["dist", "--family", "fuzzy", "FA", "FB"],
+    ["matrix", "--family", "f", "A", "B"],
+    ["axioms", "--family", "f", "--n", "5"],
+    ["estimate", "A", "B", "--n", "50"],
+])
+def test_a_read_of_a_table_failing_a_triangle_exits_2(triangle_ws, argv):
+    result = run_cli(argv[0], "--workspace", triangle_ws, *argv[1:])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: triangle inequality fails for ids ('a', 'b', 'c')\n"
 
 
 # a limit of 10^7 pairs of parts refused this reference (10,008,338 pairs, 3.5 s on a 2-vCPU VM)

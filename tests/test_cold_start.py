@@ -36,6 +36,14 @@ LARGE = {
     "sets": {"A": [f"p{k}" for k in range(16)], "B": [f"p{k}" for k in range(16, 32)]},
 }
 
+# the distances of the points 0, 1, 3 and 7 of a line, a valid table
+TABLE = {
+    "metric": {"kind": "matrix", "ids": ["t0", "t1", "t2", "t3"],
+               "values": [[abs(x - y) for y in (0, 1, 3, 7)] for x in (0, 1, 3, 7)]},
+    "elements": {f"t{k}": None for k in range(4)},
+    "sets": {"A": ["t0", "t1"], "B": ["t1", "t2", "t3"], "C": ["t3"]},
+}
+
 
 def _fuzzy_workspace(sizes: dict[str, int], shift: int) -> dict:
     """Fuzzy sets of the given sizes over 3-d points, each set starting
@@ -78,7 +86,7 @@ def cli_run(argv: list[str]) -> str:
 @pytest.fixture(scope="module")
 def workspaces(tmp_path_factory):
     paths = {}
-    for name, doc in (("small", SMALL), ("large", LARGE), ("fuzzy", FUZZY),
+    for name, doc in (("small", SMALL), ("large", LARGE), ("table", TABLE), ("fuzzy", FUZZY),
                       ("at_bound", AT_BOUND), ("above_bound", ABOVE_BOUND)):
         path = tmp_path_factory.mktemp("ws") / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -108,6 +116,18 @@ def test_cli_import_does_not_load_a_process_pool(module):
 def test_small_workspace_commands_do_not_load_numpy(workspaces, argv):
     argv = [argv[0], "--workspace", workspaces["small"], *argv[1:]]
     assert not module_loaded(cli_run(argv))
+
+
+# a table's triangles are checked with numpy at the first read of a distance
+@pytest.mark.parametrize("argv, loaded", [
+    (["dist", "--family", "j", "A", "B"], False),
+    (["dist", "--family", "symdiff", "A", "B"], False),
+    (["matrix", "--family", "j", "A", "B", "C"], False),
+    (["dist", "--family", "f", "A", "B"], True),
+], ids=["dist-j", "dist-symdiff", "matrix-j", "dist-f"])
+def test_table_workspace_loads_numpy_only_to_read_a_distance(workspaces, argv, loaded):
+    argv = [argv[0], "--workspace", workspaces["table"], *argv[1:]]
+    assert module_loaded(cli_run(argv)) is loaded
 
 
 def test_random_axiom_check_does_not_load_numpy():

@@ -173,6 +173,18 @@ class TestIntervalUnion:
         twin = IntervalUnion(u.parts)
         assert twin == u and hash(twin) == hash(u)
 
+    # -inf indexed the -inf sentinel after the last end, and -inf <= -inf
+    @pytest.mark.parametrize("parts", [(), ((0, 1),), ((0, 1), (2, 3)), ((-5, -4), (0, 0.5), (7, 9))])
+    def test_one_point_membership_agrees_with_the_mask(self, parts):
+        u = U(*parts)
+        rng = random.Random(17)
+        points = [rng.uniform(-10, 10) for _ in range(200)]
+        points += [bound for p in u.parts for bound in (p.lo, p.hi)]
+        assert [u.contains(x) for x in points] == u._inside(np.array(points)).tolist()
+        for x in (-math.inf, math.inf, math.nan):
+            assert u.contains(x) is False
+            assert not u._inside(np.array([x]))[0]
+
     def test_set_ops_agree_with_pointwise_membership(self):
         rng = random.Random(9)
         for _ in range(50):

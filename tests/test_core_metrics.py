@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from setmetric import (
     triangle_surplus,
 )
 from setmetric.axioms import random_point_registry, subset_triple_sampler
-from setmetric.core import MAX_TABLE_IDS
+from setmetric.core import MAX_TABLE_IDS, _cross_rows
 
 
 def brute_pair_sum(m, a, b):
@@ -156,8 +157,9 @@ class TestBaseMetrics:
             MatrixMetric(["a", "b"], [[0, -1], [-1, 0]])
 
     def test_matrix_triangle_violation_rejected(self):
+        m = MatrixMetric(["a", "b", "c"], [[0, 1, 9], [1, 0, 2], [9, 2, 0]])
         with pytest.raises(ParameterError):
-            MatrixMetric(["a", "b", "c"], [[0, 1, 9], [1, 0, 2], [9, 2, 0]])
+            m.distance(Element("a"), Element("b"))
 
     def test_matrix_off_diagonal_zero_needs_pseudo_flag(self):
         table = [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
@@ -247,7 +249,73 @@ class TestMatrixValidation:
     def test_same_first_failure_as_the_loops(self, table):
         ids, values, pseudo = table
         expected = check_outcome(lambda: reference_matrix_check(ids, values, pseudo))
-        assert check_outcome(lambda: MatrixMetric(ids, values, pseudo=pseudo)) == expected
+        first = Element(ids[0])
+        assert check_outcome(
+            lambda: MatrixMetric(ids, values, pseudo=pseudo).distance(first, first)) == expected
+
+
+def first_triangle_failure(values, tolerance=1e-12):
+    """(i, j, k) of the first failing triangle in loop order, one row of i at a time."""
+    table = np.array(values, dtype=float)
+    for i in range(len(table)):
+        violated = table[i] > (table[i][:, None] + table) + tolerance
+        if violated.any():
+            return (i, *divmod(int(np.argmax(violated)), len(table)))
+    return None
+
+
+class TestDeferredTriangleCheck:
+    """A table is built after its cell checks; its first read checks the triangles."""
+
+    IDS = ["a", "b", "c"]
+    VALUES = [[0, 1, 9], [1, 0, 2], [9, 2, 0]]  # d(a, c) > d(a, b) + d(b, c)
+    MESSAGE = r"^triangle inequality fails for ids \('a', 'b', 'c'\)$"
+
+    def test_built_without_the_check(self):
+        m = MatrixMetric(self.IDS, self.VALUES)
+        assert (m.ids, m.pseudo, m.symmetric) == (("a", "b", "c"), False, True)
+        assert m._rows == ((0.0, 1.0, 9.0), (1.0, 0.0, 2.0), (9.0, 2.0, 0.0))
+
+    def test_every_read_raises(self):
+        m = MatrixMetric(self.IDS, self.VALUES)
+        for _ in range(2):  # a failed check leaves nothing half set
+            with pytest.raises(ParameterError, match=self.MESSAGE):
+                m.distance(Element("a"), Element("a"))
+            assert "_table" not in vars(m) and "_index" not in vars(m)
+
+    def test_the_first_block_read_raises(self):
+        # 20 x 20 = 400 pairs take the block path; ids beyond the triangle come first
+        ids = self.IDS + [f"x{k}" for k in range(37)]
+        values = [[0.0 if i == j else 10.0 for j in range(40)] for i in range(40)]
+        for i, row in enumerate(self.VALUES):
+            values[i][:3] = row
+        registry = ElementRegistry(dict.fromkeys(ids))
+        m = MatrixMetric(ids, values)
+        with pytest.raises(ParameterError, match=self.MESSAGE):
+            _cross_rows(m, registry, ids[:20], ids[20:])
+        with pytest.raises(ParameterError, match=self.MESSAGE):
+            group_average(m, registry.set_of(ids[:20]), registry.set_of(ids[20:]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocks_of_rows_report_the_first_failure_in_loop_order(self, seed):
+        # 200 ids: three rows per block, so a failure may fall anywhere in one
+        rng = random.Random(seed)
+        xs = [rng.uniform(0, 100) for _ in range(200)]
+        values = [[abs(x - y) for y in xs] for x in xs]
+        for _ in range(seed):
+            i, j = rng.sample(range(200), 2)
+            values[i][j] = values[j][i] = values[i][j] * 3 + 1
+        ids = [f"t{k}" for k in range(200)]
+        m = MatrixMetric(ids, values)
+        expected = first_triangle_failure(values)
+        if expected is None:
+            assert m.distance(Element("t0"), Element("t1")) == values[0][1]
+        else:
+            i, j, k = expected
+            with pytest.raises(ParameterError) as info:
+                m.distance(Element("t0"), Element("t1"))
+            assert str(info.value) == (
+                f"triangle inequality fails for ids ({ids[i]!r}, {ids[j]!r}, {ids[k]!r})")
 
 
 class TestPointAndInfDistances:
