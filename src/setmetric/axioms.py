@@ -140,6 +140,8 @@ def check_axioms(
 
 def random_point_registry(rng: random.Random, size: int = 12, dim: int = 2) -> ElementRegistry:
     """Registry of ``size`` points with coordinates uniform in [0, 1]^dim."""
+    _require_integer("point count", size)
+    _require_integer("dimension", dim)
     if size * dim > MAX_COORDINATES:
         raise ParameterError(f"{size} points x {dim} coordinates exceed {MAX_COORDINATES:,}")
     registry = ElementRegistry()

@@ -371,29 +371,32 @@ def _sample_interval_points(population: IntervalUnion, plan: SamplePlan) -> np.n
 
 
 def _abs_cross_sum(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Sum over all pairs of |x - y|, for sorted ``ys``, in O(n + m log n)
+    through the prefix sums of ``ys``."""
     import numpy as np
-    # Sum over all pairs of |x - y| in O((m+n) log n) via prefix sums.
-    ys = np.sort(ys)
     prefix = np.concatenate(([0.0], np.cumsum(ys)))
     pos = np.searchsorted(ys, xs, side="right")
-    total_y = prefix[-1]
-    n_y = len(ys)
     left = xs * pos - prefix[pos]
-    right = (total_y - prefix[pos]) - xs * (n_y - pos)
+    right = (prefix[-1] - prefix[pos]) - xs * (len(ys) - pos)
     return float(np.sum(left + right))
 
 
 def _average_metric_1d(xs: np.ndarray, ys: np.ndarray) -> float:
     """Finite-set average metric over sorted unique 1-d points with d = |x-y|.
 
-    Taken on the points scaled by the power of two that brings the largest
-    |x| into [1/2, 1), exactly for normal floats, so no prefix sum overflows,
-    and scaled back."""
+    The set differences are taken on the points themselves, as x - o may
+    round two of them to one value. The cross sums
+    are taken on the points less the least point o, divided by the power of
+    two ``unit`` that brings the span into [1, 2), a float for every span
+    from 2^-1074 to 2^1023: every prefix sum then adds terms in [0, 2), so
+    no offset cancels and none overflows. The result is scaled back."""
     import numpy as np
-    _, e = math.frexp(max(np.abs(xs).max(), np.abs(ys).max()))
-    value = _set_average(np.ldexp(xs, -e), np.ldexp(ys, -e), lambda x, y: (_abs_cross_sum(x, y),),
-                         difference=functools.partial(np.setdiff1d, assume_unique=True))
-    return math.ldexp(value, e)
+    o = min(xs[0], ys[0])
+    unit = math.ldexp(1.0, math.frexp(max(xs[-1], ys[-1]) - o)[1] - 1)
+    value = _set_average(
+        xs, ys, lambda x, y: (_abs_cross_sum((x - o) / unit, (y - o) / unit),),
+        difference=functools.partial(np.setdiff1d, assume_unique=True))
+    return value * unit
 
 
 def _sample_sides(a: Membership, b: Membership, plan: SamplePlan) -> tuple:

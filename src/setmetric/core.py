@@ -374,17 +374,20 @@ _TRIANGLE_VALUES = 2**17
 class MatrixMetric(BaseMetric):
     """Explicit symmetric distance table over ids, checked in two steps.
 
-    Construction checks every cell, without numpy: finite cells,
-    non-negativity, zero diagonal and symmetry, within 1e-12, and no zero
-    between distinct ids unless the table is flagged ``pseudo`` (a
-    pseudo-metric). The triangle inequality, n^3 comparisons, is checked
-    with numpy at the first read of a distance, through ``distance`` or the
-    block path, so a command that never reads the table (``jaccard``,
-    ``symdiff_cardinality``) never pays for it. A table that fails it
-    raises ``ParameterError`` at every read. ``ids``, ``pseudo`` and
-    ``symmetric``, which records whether symmetry holds exactly, are set by
-    construction.
+    Construction first refuses a ``pseudo`` that is not a bool, as
+    ``bool("false")`` is True. It then checks every cell, without numpy:
+    finite cells, non-negativity, zero diagonal and symmetry, within
+    ``TOLERANCE``, and no zero between distinct ids unless the table is
+    flagged ``pseudo`` (a pseudo-metric). The triangle inequality, n^3
+    comparisons, is checked with numpy at the first read of a distance,
+    through ``distance`` or the block path, so a command that never reads
+    the table (``jaccard``, ``symdiff_cardinality``) never pays for it. A
+    table that fails it raises ``ParameterError`` at every read. ``ids``,
+    ``pseudo`` and ``symmetric``, which records whether symmetry holds
+    exactly, are set by construction.
     """
+
+    TOLERANCE = 1e-12
 
     def __init__(
         self,
@@ -392,7 +395,9 @@ class MatrixMetric(BaseMetric):
         values: Sequence[Sequence[float]],
         pseudo: bool = False,
     ):
-        tolerance = 1e-12
+        if not isinstance(pseudo, bool):
+            raise ParameterError(f"matrix metric pseudo must be a bool, got {pseudo!r}")
+        tolerance = self.TOLERANCE
         ids = tuple(ids)
         if len(set(ids)) != len(ids):
             raise ParameterError("matrix metric ids must be unique")
@@ -440,14 +445,13 @@ class MatrixMetric(BaseMetric):
         """The table as a float64 array, once every triangle passes.
 
         A failure is reported at the first (i, j, k) in the order of the
-        loops "for i, j, k: R[i, k] > (R[i, j] + R[j, k]) + 1e-12". Some j
+        loops "for i, j, k: R[i, k] > (R[i, j] + R[j, k]) + TOLERANCE". Some j
         fails for (i, k) exactly when R[i, k] exceeds the least sum over j
         plus the tolerance, as rounding is monotone, so that least sum is
         taken for a block of rows at once and only a failing row is read
         again for its j.
         """
         import numpy as np
-        tolerance = 1e-12
         table = np.array(self._rows, dtype=np.float64)
         n = len(table)
         step = max(1, _TRIANGLE_VALUES // (n * n))
@@ -456,10 +460,10 @@ class MatrixMetric(BaseMetric):
             for i0 in range(0, n, step):
                 block = table[i0:i0 + step]
                 least = (block[:, :, None] + table).min(axis=1)
-                failing = np.flatnonzero((block > least + tolerance).any(axis=1))
+                failing = np.flatnonzero((block > least + self.TOLERANCE).any(axis=1))
                 if failing.size:
                     i = i0 + int(failing[0])
-                    violated = table[i] > (table[i][:, None] + table) + tolerance
+                    violated = table[i] > (table[i][:, None] + table) + self.TOLERANCE
                     j, k = divmod(int(np.argmax(violated)), n)
                     ids = self.ids
                     raise ParameterError(
@@ -521,9 +525,10 @@ class _Memo(BaseMetric):
 # table (see README): below it the fixed cost of a block outweighs the saving.
 _BLOCK_MIN_PAIRS = 256
 
-# Values per tile. The Euclidean block keeps two tile-sized arrays alive (the
-# sum and one coordinate difference), the table block one, so a block's
-# temporaries stay far under 2**17 float64 values (1 MiB).
+# Values per chunk of rows, or one whole row where a row holds more. The
+# Euclidean block keeps two chunk-sized arrays alive (the sum and one
+# coordinate difference), the table block one, so a chunk's temporaries stay
+# far under 2**17 float64 values (1 MiB) and grow only linearly with a row.
 _TILE_VALUES = 2**12
 
 # a factor that covers the block's error twice over, see _max_min
@@ -580,19 +585,11 @@ def _max_min(
 
 
 def _row_chunks(block: Callable, x: Any, y: Any) -> Iterator[np.ndarray]:
-    """``block(x, y)`` in chunks of rows of at most ``_TILE_VALUES`` values;
-    a row longer than that is built from tiles of columns."""
-    import numpy as np
+    """``block(x, y)`` in chunks of whole rows, of at most ``_TILE_VALUES``
+    values or a single row where one row holds more."""
     step = max(1, _TILE_VALUES // len(y))
     for r0 in range(0, len(x), step):
-        rows = x[r0:r0 + step]
-        if len(y) <= _TILE_VALUES:
-            yield block(rows, y)
-            continue
-        out = np.empty((len(rows), len(y)))
-        for c0 in range(0, len(y), _TILE_VALUES):
-            out[:, c0:c0 + _TILE_VALUES] = block(rows, y[c0:c0 + _TILE_VALUES])
-        yield out
+        yield block(x[r0:r0 + step], y)
 
 
 # ---------------------------------------------------------------------------

@@ -71,12 +71,8 @@ def metric_from_config(config: dict) -> BaseMetric:
     if not isinstance(config, dict) or "kind" not in config:
         raise WorkspaceError('metric config must be an object with a "kind"')
     kind = config["kind"]
-    pseudo = config.get("pseudo", False)
-    if kind == "matrix":
-        if "ids" not in config or "values" not in config:
-            raise WorkspaceError('matrix metric needs "ids" and "values"')
-        if not isinstance(pseudo, bool):  # bool("false") is True
-            raise WorkspaceError(f'matrix metric "pseudo" must be true or false, got {pseudo!r}')
+    if kind == "matrix" and ("ids" not in config or "values" not in config):
+        raise WorkspaceError('matrix metric needs "ids" and "values"')
     try:
         if kind == "discrete":
             return DiscreteMetric(lam=float(config.get("lambda", 1.0)))
@@ -85,7 +81,8 @@ def metric_from_config(config: dict) -> BaseMetric:
         if kind == "lp":
             return LpMetric(p=float(config.get("p", 2.0)))
         if kind == "matrix":
-            return MatrixMetric(ids=config["ids"], values=config["values"], pseudo=pseudo)
+            return MatrixMetric(
+                ids=config["ids"], values=config["values"], pseudo=config.get("pseudo", False))
     except (TypeError, ValueError) as exc:  # ParameterError is a ValueError
         raise WorkspaceError(f"invalid metric config: {exc}") from exc
     raise WorkspaceError(f"unknown metric kind {kind!r}")

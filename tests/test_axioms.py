@@ -157,6 +157,17 @@ def test_sample_count_must_be_an_integer(n):
         check_axioms(untouched, untouched, n=n)
 
 
+@pytest.mark.parametrize("field, value, what", [
+    ("size", 12.0, "point count"), ("size", True, "point count"),
+    ("dim", 2.0, "dimension"), ("dim", True, "dimension"),
+])
+def test_point_count_and_dimension_must_be_integers(field, value, what):
+    # size=12.0 failed in range() with a bare TypeError, and size=True built one point
+    rng = mock.Mock(spec=random.Random, uniform=lambda *args: 0.5)
+    with pytest.raises(ParameterError, match=f"^{what} must be an integer, got {value!r}$"):
+        random_point_registry(rng, **{field: value})
+
+
 def test_resource_limits_are_checked_before_any_work():
     def untouched(*args):
         raise AssertionError("called before the limit was checked")

@@ -340,6 +340,20 @@ def test_estimate_against_an_infinite_reference(tmp_path):
     assert result.stdout == "estimate inf\nsample_a 2\nsample_b 2\nreference inf\nrelative_error 0\n"
 
 
+# Scaled by max|x| = 1e12, the sample's prefix sums cancelled and the
+# estimate printed 0.426129653343; the exact metric of the same sample is
+# 0.400700023381 and the interval value 0.400024414062
+def test_estimate_far_from_the_origin(tmp_path):
+    o = 10.0**12
+    doc = {"intervals": {"P": [[o, o + 1]], "A": [[o, o + 0.5]], "B": [[o + 0.3, o + 1]]}}
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("estimate", "--workspace", str(path), "A", "B", "--population", "P",
+                     "--n", "20000", "--seed", "1")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[0] == "estimate 0.400700023381"
+
+
 # Each mean and each average of cells of 1e308 overflowed math.fsum, a
 # traceback, and loading the table printed "RuntimeWarning: overflow
 # encountered in add"

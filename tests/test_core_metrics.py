@@ -168,6 +168,12 @@ class TestBaseMetrics:
         m = MatrixMetric(["a", "b", "c"], table, pseudo=True)
         assert m.distance(Element("a"), Element("b")) == 0.0
 
+    @pytest.mark.parametrize("pseudo", ["false", 0, 1, None])
+    def test_matrix_pseudo_must_be_a_bool(self, pseudo):
+        # bool("false") is True: the table was built as a pseudo-metric and read 0.0
+        with pytest.raises(ParameterError, match="^matrix metric pseudo must be a bool, got "):
+            MatrixMetric(["a", "b"], [[0, 0], [0, 0]], pseudo=pseudo)
+
     def test_matrix_unknown_id(self):
         m = MatrixMetric(["a", "b"], [[0, 1], [1, 0]])
         with pytest.raises(UnknownIdError):
