@@ -139,9 +139,12 @@ def check_axioms(
 
 
 def random_point_registry(rng: random.Random, size: int = 12, dim: int = 2) -> ElementRegistry:
-    """Registry of ``size`` points with coordinates uniform in [0, 1]^dim."""
-    _require_integer("point count", size)
-    _require_integer("dimension", dim)
+    """Registry of ``size`` >= 1 points with coordinates uniform in
+    [0, 1]^dim, ``dim`` >= 1, and at most ``MAX_COORDINATES`` in all."""
+    for what, value in (("point count", size), ("dimension", dim)):
+        _require_integer(what, value)
+        if value < 1:
+            raise ParameterError(f"{what} must be >= 1, got {value}")
     if size * dim > MAX_COORDINATES:
         raise ParameterError(f"{size} points x {dim} coordinates exceed {MAX_COORDINATES:,}")
     registry = ElementRegistry()
@@ -158,8 +161,12 @@ def subset_triple_sampler(
     """Independent random subsets of a shared pool.
 
     Small sets over a small pool deliberately hit the boundary cases:
-    singletons, heavy overlap, equality.
+    singletons, heavy overlap, equality. Subsets have from ``min_size`` to
+    ``max_size`` members, 1 <= min_size <= max_size, at most the pool size.
     """
+    if not 1 <= min_size <= max_size:
+        raise ParameterError(f"subset sizes need 1 <= min_size <= max_size, "
+                             f"got min_size={min_size}, max_size={max_size}")
     ids = list(registry.ids())
     if not ids:
         raise ParameterError("sampler needs a non-empty registry")

@@ -54,16 +54,6 @@ def format_scalar(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _extended_real(text: str) -> float:
-    try:
-        value = float(text)
-        if value == value:  # NaN is no order
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a number, 'inf' or '-inf', got {text!r}")
-
-
 def _alpha_grid(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
@@ -199,25 +189,20 @@ def cmd_matrix(args) -> int:
 def cmd_axioms(args) -> int:
     axioms = _module("axioms")
     if args.random:
-        if args.dim < 1:
-            raise ParameterError(f"--dim must be at least 1, got {args.dim}")
         rng = random.Random(args.seed)
         registry = axioms.random_point_registry(rng, size=args.pool, dim=args.dim)
         ws = Workspace(registry=registry, metric=EuclideanMetric())
     else:
         ws = load_workspace(args.workspace)
 
-    min_size, _, max_size = args.sizes.partition(":")
-    try:
-        lo, hi = int(min_size), int(max_size or min_size)
-    except ValueError:
-        raise ParameterError(f"bad --sizes {args.sizes!r}, expected LO:HI") from None
-    if not 1 <= lo <= hi:
-        raise ParameterError(f"bad --sizes {args.sizes!r}, expected 1 <= LO <= HI")
-
     if args.fixture == "chained-overlap":
         sampler = axioms.chained_overlap_sampler(ws.registry)
     else:
+        min_size, _, max_size = args.sizes.partition(":")
+        try:
+            lo, hi = int(min_size), int(max_size or min_size)
+        except ValueError:
+            raise ParameterError(f"bad --sizes {args.sizes!r}, expected LO:HI") from None
         sampler = axioms.subset_triple_sampler(ws.registry, lo, hi)
 
     report = axioms.check_axioms(
@@ -313,19 +298,11 @@ def cmd_estimate(args) -> int:
         if not args.population:
             raise ParameterError("interval estimation needs --population")
         population = _named(ws.intervals, "interval", args.population)
-        uncovered = a.union(b).difference(population).measure
-        if uncovered > 0.0:
-            raise ParameterError(
-                f"population {args.population!r} does not cover the operands "
-                f"(uncovered measure {uncovered:g})"
-            )
         exact = continuous.interval_average_metric
     else:
         a, b = _sets(ws, name_a, name_b)
         population = (_named(ws.sets, "set", args.population) if args.population
                       else ws.registry.universe())
-        if not (a.ids | b.ids) <= population.ids:
-            raise ParameterError(f"population {args.population!r} does not cover the operands")
         exact = partial(average_metric, ws.metric)
     plan = continuous.SamplePlan(population, n=args.n, seed=args.seed, mode=args.mode)
     # an interval plan ignores the metric
@@ -350,11 +327,11 @@ def cmd_estimate(args) -> int:
 
 def _add_family_options(sub: argparse.ArgumentParser, families: Collection[str]) -> None:
     sub.add_argument("--family", required=True, choices=families)
-    sub.add_argument("--p", type=_extended_real, default=1.0,
+    sub.add_argument("--p", type=float, default=1.0,
                      help="order of the outer mean ('inf', '-inf', '0' for limits)")
-    sub.add_argument("--q", type=_extended_real, default=1.0,
+    sub.add_argument("--q", type=float, default=1.0,
                      help="order of the inner mean")
-    sub.add_argument("--r", type=_extended_real, default=1.0,
+    sub.add_argument("--r", type=float, default=1.0,
                      help="order of the outermost (sidewise) mean")
     sub.add_argument("--i", type=int, choices=(0, 1), default=1, help="outer mean kind")
     sub.add_argument("--j", type=int, choices=(0, 1), default=1, help="inner mean kind")

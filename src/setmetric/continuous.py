@@ -299,11 +299,14 @@ def interval_metric_closed_form(a: Interval, b: Interval) -> float:
 
 
 def steinhaus(a: IntervalUnion, b: IntervalUnion) -> float:
-    """mu(A△B) / mu(A∪B): the measure-theoretic Jaccard distance."""
-    mu_union = a.union(b).measure
-    if mu_union == 0.0:
+    """mu(A△B) / mu(A∪B): the measure-theoretic Jaccard distance. On the
+    segments of the union distances' sweep it is one int quotient, correctly
+    rounded."""
+    if not (a.parts or b.parts):  # the only unions of zero measure
         raise NullMeasureError("steinhaus requires a non-null union")
-    return a.symmetric_difference(b).measure / mu_union
+    _, segments = _integer_segments(a, b)
+    every = sum(hi - lo for lo, hi, _, _ in segments)
+    return sum(hi - lo for lo, hi, in_a, in_b in segments if in_a != in_b) / every
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +405,8 @@ def _average_metric_1d(xs: np.ndarray, ys: np.ndarray) -> float:
 def _sample_sides(a: Membership, b: Membership, plan: SamplePlan) -> tuple:
     """The plan's sample intersected with A and with B: arrays of sorted
     unique points for an interval population, id sets for a finite one. The
-    operands must be of the population's kind."""
+    operands must be of the population's kind and lie in it, which is
+    checked before any draw."""
     import numpy as np
     kind = IntervalUnion if isinstance(plan.population, IntervalUnion) else FiniteSet
     if not (isinstance(a, kind) and isinstance(b, kind)):
@@ -411,8 +415,16 @@ def _sample_sides(a: Membership, b: Membership, plan: SamplePlan) -> tuple:
             f"{kind.__name__} operands, got {type(a).__name__} and {type(b).__name__}"
         )
     if kind is IntervalUnion:
+        uncovered = a.union(b).difference(plan.population).measure
+        if uncovered > 0.0:
+            raise ParameterError(f"sampling population does not cover the operands "
+                                 f"(uncovered measure {uncovered:g})")
         points = _sample_interval_points(plan.population, plan)
         return points[a._inside(points)], points[b._inside(points)]
+    outside = len((a.ids | b.ids) - plan.population.ids)
+    if outside:
+        raise ParameterError(f"sampling population does not cover the operands "
+                             f"(ids outside it: {outside})")
     ids = list(plan.population.members)
     if not ids:
         raise ParameterError("finite sampling population is empty")
@@ -431,9 +443,10 @@ def estimate_average_metric(
 
     Draws the plan's sample from the population, forms the finite sets
     S∩A and S∩B, and returns the exact finite-set metric on those, together
-    with their sizes. Deterministic for a fixed seed. Raises if either
-    intersection comes out empty; an empty sample is reported, never papered
-    over.
+    with their sizes. Deterministic for a fixed seed. A population that
+    does not cover A and B is a ``ParameterError``, before any draw. Raises
+    if either intersection comes out empty; an empty sample is reported,
+    never papered over.
     """
     finite = not isinstance(plan.population, IntervalUnion)
     if finite and metric is None:
@@ -454,8 +467,8 @@ def estimate_average_metric(
 
 def sample_count_ratio(a: Membership, b: Membership, plan: SamplePlan) -> float:
     """|S∩A| / |S∩B| for the plan's sample: the finite-sample stand-in for a
-    relative measure of A against B. Zero numerator gives 0; an empty
-    denominator sample is an error."""
+    relative measure of A against B, over a population that covers both.
+    Zero numerator gives 0; an empty denominator sample is an error."""
     sample_a, sample_b = _sample_sides(a, b, plan)
     if not len(sample_b):
         raise SamplingError("denominator set missed by the sample")

@@ -168,6 +168,23 @@ def test_point_count_and_dimension_must_be_integers(field, value, what):
         random_point_registry(rng, **{field: value})
 
 
+@pytest.mark.parametrize("field, what", [("size", "point count"), ("dim", "dimension")])
+def test_pool_needs_a_point_and_a_dimension(field, what):
+    # dim=0 failed as "no coordinates in the payload of 0", size=0 only in the sampler
+    rng = mock.Mock(spec=random.Random, uniform=lambda *args: 0.5)
+    with pytest.raises(ParameterError, match=f"^{what} must be >= 1, got 0$"):
+        random_point_registry(rng, **{field: 0})
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2), (5, 3)])
+def test_subset_sizes_must_be_ordered_from_1(plane_pool, lo, hi):
+    # 0:2 drew empty sets, and 5:3 drew 3:3; the test comes before HI is
+    # lowered to the pool size
+    with pytest.raises(ParameterError, match=rf"^subset sizes need 1 <= min_size <= max_size, "
+                                             rf"got min_size={lo}, max_size={hi}$"):
+        subset_triple_sampler(plane_pool, lo, hi)
+
+
 def test_resource_limits_are_checked_before_any_work():
     def untouched(*args):
         raise AssertionError("called before the limit was checked")

@@ -3,12 +3,23 @@
 import csv
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 from test_continuous import spaced_integral
+
+from setmetric import (
+    ParameterError,
+    SamplePlan,
+    estimate_average_metric,
+    pointwise_mean_distance,
+    random_point_registry,
+    subset_triple_sampler,
+)
+from setmetric.workspace import load_workspace
 
 WORKSPACE = {
     "metric": {"kind": "discrete", "lambda": 1.0},
@@ -123,10 +134,10 @@ class TestDist:
 
 # each of these printed nan and exited 0
 @pytest.mark.parametrize("argv, message", [
-    (["--family", "u", "--p", "nan", "A", "B"], "argument --p: expected a number"),
-    (["--family", "u00", "--p", "nan", "A", "B"], "argument --p: expected a number"),
-    (["--family", "v", "--q", "nan", "A", "B"], "argument --q: expected a number"),
-    (["--family", "v", "--r", "NaN", "A", "B"], "argument --r: expected a number"),
+    (["--family", "u", "--p", "nan", "A", "B"], "order p must be a number, inf or -inf, got nan"),
+    (["--family", "u00", "--p", "nan", "A", "B"], "order p must be a number, inf or -inf, got nan"),
+    (["--family", "v", "--q", "nan", "A", "B"], "order q must be a number, inf or -inf, got nan"),
+    (["--family", "v", "--r", "NaN", "A", "B"], "order r must be a number, inf or -inf, got nan"),
     (["--family", "fuzzy", "--alpha-weight", "nan", "FA", "FB"], "alpha weight must be finite"),
     (["--family", "fuzzy", "--alpha-weight", "inf", "FA", "FB"], "alpha weight must be finite"),
     # an infinite discrete scale printed inf and 0.405465108108
@@ -485,9 +496,11 @@ class TestAxioms:
         assert message in result.stderr
 
     @pytest.mark.parametrize("flags, message", [
-        (["--sizes", "0:2"], "bad --sizes '0:2'"),  # exited 3 on an empty set
-        (["--sizes", "5:3"], "bad --sizes '5:3'"),  # ran as 3:3
-        (["--dim", "0"], "--dim must be at least 1"),  # reported false M3 violations
+        # exited 3 on an empty set
+        (["--sizes", "0:2"], "subset sizes need 1 <= min_size <= max_size, got min_size=0, max_size=2"),
+        # ran as 3:3
+        (["--sizes", "5:3"], "subset sizes need 1 <= min_size <= max_size, got min_size=5, max_size=3"),
+        (["--dim", "0"], "dimension must be >= 1, got 0"),  # reported false M3 violations
     ])
     def test_bad_sizes_and_dim_exit_2(self, flags, message):
         result = run_cli("axioms", "--random", "--family", "f", "--n", "20", *flags)
@@ -509,6 +522,33 @@ class TestAxioms:
         result = run_cli("axioms", "--random", "--family", "f", "--n", "20",
                          "--pool", "6", "--sizes", "2:50")
         assert result.returncode == 0
+
+
+# Each rule below is decided by the library function that receives the
+# value; the CLI prints that function's message, so no copy of the rule can
+# drift back into the CLI unseen. "{ws}" stands for the workspace path.
+@pytest.mark.parametrize("argv, call", [
+    (["axioms", "--random", "--family", "f", "--dim", "0"],
+     lambda w: random_point_registry(random.Random(0), size=12, dim=0)),
+    (["axioms", "--random", "--family", "f", "--sizes", "5:3"],
+     lambda w: subset_triple_sampler(random_point_registry(random.Random(0)), 5, 3)),
+    (["axioms", "--random", "--family", "f", "--sizes", "0:2"],
+     lambda w: subset_triple_sampler(random_point_registry(random.Random(0)), 0, 2)),
+    (["estimate", "--workspace", "{ws}", "I", "K", "--population", "I"],
+     lambda w: estimate_average_metric(w.intervals["I"], w.intervals["K"],
+                                       SamplePlan(w.intervals["I"], n=10000))),
+    (["estimate", "--workspace", "{ws}", "A", "B", "--population", "C"],
+     lambda w: estimate_average_metric(w.sets["A"], w.sets["B"], SamplePlan(w.sets["C"], n=10000),
+                                       metric=w.metric)),
+    (["dist", "--workspace", "{ws}", "--family", "u", "--p", "nan", "A", "B"],
+     lambda w: pointwise_mean_distance(w.metric, w.sets["A"], w.sets["B"], p=math.nan)),
+], ids=["dim", "sizes-order", "sizes-zero", "interval-cover", "finite-cover", "nan-order"])
+def test_cli_prints_the_library_refusal(ws, argv, call):
+    with pytest.raises(ParameterError) as refusal:
+        call(load_workspace(ws))
+    result = run_cli(*(ws if arg == "{ws}" else arg for arg in argv))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {refusal.value}\n"
 
 
 class TestVerify:
@@ -566,8 +606,9 @@ class TestEstimate:
     @pytest.mark.parametrize("argv, message", [
         (["I", "J"], "interval estimation needs --population"),
         (["I", "J", "--population", "P1"],
-         "population 'P1' does not cover the operands (uncovered measure 0.5)"),
-        (["A", "B", "--population", "P"], "population 'P' does not cover the operands"),
+         "sampling population does not cover the operands (uncovered measure 0.5)"),
+        (["A", "B", "--population", "P"], "sampling population does not cover the operands "
+                                          "(ids outside it: 1)"),
         # numpy refused the seed only when drawing, with a ValueError traceback
         (["I", "J", "--population", "P2", "--seed", "-1"], "sampling seed must be >= 0, got -1"),
         (["A", "B", "--seed", "-1"], "sampling seed must be >= 0, got -1"),

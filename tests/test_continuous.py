@@ -522,6 +522,22 @@ class TestSteinhaus:
         with pytest.raises(NullMeasureError):
             steinhaus(U((0, 0)), U((1, 1)))
 
+    # mu(A△B) and mu(A∪B) were two float sums, off by up to ~2.2 ulps
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(MIXED_UNIONS, st.tuples(RAW_PARTS, RAW_PARTS).map(
+        lambda raw: (U(*raw[0]), U(*raw[1])))))
+    def test_correctly_rounded(self, pair):
+        a, b = pair
+        assume(a.parts or b.parts)
+        mu_a, mu_b = exact_measure(a.parts), exact_measure(b.parts)
+        mu_ab = exact_measure(reference_intersection(a.parts, b.parts))
+        assert steinhaus(a, b) == float((mu_a + mu_b - 2 * mu_ab) / (mu_a + mu_b - mu_ab))
+
+
+# A plan over [-0.5, 7.5] whose grid, 0.5, 2.5, 4.5 and 6.5, hits [0, 1]
+# but misses [5, 6].
+MISSES_5_6 = (U((-0.5, 7.5)), 4, 0, "systematic")
+
 
 class TestEstimation:
     def test_identical_sets_estimate_zero(self):
@@ -531,12 +547,12 @@ class TestEstimation:
 
     def test_single_shared_point(self):
         a, b = U((0, 1)), U((0.5, 1.5))
-        plan = SamplePlan(U((0.6, 0.9)), n=1, seed=0)
+        plan = SamplePlan(U((0, 1.5)), n=1, seed=0, mode="systematic")  # the point 0.75
         assert estimate_average_metric(a, b, plan).value == 0.0
 
     def test_empty_side_raises(self):
         a, b = U((0, 1)), U((5, 6))
-        plan = SamplePlan(U((0, 1)), n=100, seed=0)
+        plan = SamplePlan(*MISSES_5_6)
         with pytest.raises(SamplingError):
             estimate_average_metric(a, b, plan)
 
@@ -662,7 +678,7 @@ class TestSampleSides:
     @example(raw_a=[[0.5, 1.5]], raw_b=[[1.5, 3.5]], population=U((0, 8)), n=8,
              seed=0, mode="systematic")
     def test_mask_equals_a_scan_of_the_parts(self, raw_a, raw_b, population, n, seed, mode):
-        a, b = U(*raw_a), U(*raw_b)
+        a, b = U(*raw_a).intersection(population), U(*raw_b).intersection(population)
         plan = SamplePlan(population, n=n, seed=seed, mode=mode)
         points = _sample_interval_points(population, plan)
         for u, side in zip((a, b), _sample_sides(a, b, plan)):
@@ -699,6 +715,26 @@ class TestOperandKinds:
             SamplePlan([0, 1, 2], n=50, seed=0)
 
 
+class TestCoverage:
+    # the population must hold A and B; the estimate read 0.252 for the
+    # exact 0.5, and the ratio 2.006 for 1.0
+    @pytest.mark.parametrize("sample", SAMPLERS, ids=["estimate", "ratio"])
+    def test_interval_population_missing_part_of_an_operand(self, sample):
+        plan = SamplePlan(U((0, 1)), n=20000, seed=1)
+        with pytest.raises(ParameterError, match=r"^sampling population does not cover "
+                                                 r"the operands \(uncovered measure 0.5\)$"):
+            sample(U((0, 1)), U((0.5, 1.5)), plan)
+
+    # the estimate read 5.5 for the exact 6.5
+    @pytest.mark.parametrize("sample", SAMPLERS, ids=["estimate", "ratio"])
+    def test_finite_population_missing_operand_ids(self, sample, line_registry):
+        a, b = line_registry.set_of([0, 1]), line_registry.set_of([6, 7, 8])
+        plan = SamplePlan(line_registry.set_of(range(7)), n=500, seed=0)
+        with pytest.raises(ParameterError, match=r"^sampling population does not cover "
+                                                 r"the operands \(ids outside it: 2\)$"):
+            sample(a, b, plan)
+
+
 class TestSampleCount:
     # a plan allocates nothing: these construct plans only, never draw
     @pytest.mark.parametrize("n", [0, -1, MAX_SAMPLES + 1, 10**18])
@@ -724,12 +760,12 @@ class TestSampleCountRatio:
 
     def test_zero_numerator(self):
         a, b = U((5, 6)), U((0, 1))
-        assert sample_count_ratio(a, b, SamplePlan(U((0, 1)), n=50, seed=0)) == 0.0
+        assert sample_count_ratio(a, b, SamplePlan(*MISSES_5_6)) == 0.0
 
     def test_empty_denominator_raises(self):
         a, b = U((0, 1)), U((5, 6))
         with pytest.raises(SamplingError):
-            sample_count_ratio(a, b, SamplePlan(U((0, 1)), n=50, seed=0))
+            sample_count_ratio(a, b, SamplePlan(*MISSES_5_6))
 
 
 class TestFuzzy:
