@@ -153,6 +153,29 @@ def random_point_registry(rng: random.Random, size: int = 12, dim: int = 2) -> E
     return registry
 
 
+def _require_size_range(what: str, min_size: int, max_size: int) -> None:
+    """An inclusive range of set sizes holds integers 1 <= min <= max."""
+    for name, value in (("min_size", min_size), ("max_size", max_size)):
+        _require_integer(name, value)
+    if not 1 <= min_size <= max_size:
+        raise ParameterError(f"{what} sizes need 1 <= min_size <= max_size, "
+                             f"got min_size={min_size}, max_size={max_size}")
+
+
+def _subset_draw(
+    registry: ElementRegistry, min_size: int, max_size: int, what: str = "subset"
+) -> Callable[[random.Random], list]:
+    """``draw(rng)``: distinct ids of a non-empty pool, ``min_size`` to
+    ``max_size`` of them, both lowered to the pool size after the check."""
+    _require_size_range(what, min_size, max_size)
+    ids = list(registry.ids())
+    if not ids:
+        raise ParameterError("sampler needs a non-empty registry")
+    hi = min(max_size, len(ids))
+    lo = min(min_size, hi)
+    return lambda rng: rng.sample(ids, rng.randint(lo, hi))
+
+
 def subset_triple_sampler(
     registry: ElementRegistry,
     min_size: int = 1,
@@ -162,23 +185,13 @@ def subset_triple_sampler(
 
     Small sets over a small pool deliberately hit the boundary cases:
     singletons, heavy overlap, equality. Subsets have from ``min_size`` to
-    ``max_size`` members, 1 <= min_size <= max_size, at most the pool size.
+    ``max_size`` members, integers 1 <= min_size <= max_size lowered to the
+    pool size. Bad sizes or an empty pool are refused before any draw.
     """
-    if not 1 <= min_size <= max_size:
-        raise ParameterError(f"subset sizes need 1 <= min_size <= max_size, "
-                             f"got min_size={min_size}, max_size={max_size}")
-    ids = list(registry.ids())
-    if not ids:
-        raise ParameterError("sampler needs a non-empty registry")
-    hi = min(max_size, len(ids))
-    lo = min(min_size, hi)
+    draw = _subset_draw(registry, min_size, max_size)
 
     def sample(rng: random.Random) -> tuple[FiniteSet, FiniteSet, FiniteSet]:
-        def one() -> FiniteSet:
-            k = rng.randint(lo, hi)
-            return registry.set_of(rng.sample(ids, k))
-
-        return one(), one(), one()
+        return registry.set_of(draw(rng)), registry.set_of(draw(rng)), registry.set_of(draw(rng))
 
     return sample
 

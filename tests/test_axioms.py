@@ -16,6 +16,7 @@ from setmetric import (
     chained_overlap_sampler,
     check_axioms,
     group_average,
+    nested_triple_sampler,
     random_point_registry,
     semi_metric,
     subset_triple_sampler,
@@ -183,6 +184,57 @@ def test_subset_sizes_must_be_ordered_from_1(plane_pool, lo, hi):
     with pytest.raises(ParameterError, match=rf"^subset sizes need 1 <= min_size <= max_size, "
                                              rf"got min_size={lo}, max_size={hi}$"):
         subset_triple_sampler(plane_pool, lo, hi)
+
+
+def _untouched(*args):
+    raise AssertionError("drew before the arguments were checked")
+
+
+_POOL = random_point_registry(random.Random(0), size=12, dim=2)
+_EMPTY = ElementRegistry()
+_NO_DRAW = mock.Mock(spec=random.Random, uniform=_untouched)
+
+
+# Each sampler and the pool builder decide their own arguments when called:
+# a refusal deferred to the first draw would surface as a bare ValueError or
+# EmptySetError deep inside check_axioms, if at all.
+@pytest.mark.parametrize("call", [
+    lambda: subset_triple_sampler(_POOL, 1.5, 3),
+    lambda: subset_triple_sampler(_POOL, True, 3),
+    lambda: subset_triple_sampler(_POOL, 1, 3.0),
+    lambda: subset_triple_sampler(_POOL, 0, 2),
+    lambda: subset_triple_sampler(_POOL, 5, 3),
+    lambda: subset_triple_sampler(_EMPTY, 1, 3),
+    lambda: nested_triple_sampler(_POOL, inner_size=(0, 4)),
+    lambda: nested_triple_sampler(_POOL, inner_size=(1.5, 3)),
+    lambda: nested_triple_sampler(_POOL, inner_size=(4, 2)),
+    lambda: nested_triple_sampler(_POOL, outer_size=(0, 2)),
+    lambda: nested_triple_sampler(_POOL, outer_size=(3, 1)),
+    lambda: nested_triple_sampler(_POOL, outer_size=(1, True)),
+    lambda: nested_triple_sampler(_EMPTY),
+    lambda: chained_overlap_sampler(ElementRegistry({0: None, 1: None})),
+    lambda: random_point_registry(_NO_DRAW, size=0),
+    lambda: random_point_registry(_NO_DRAW, size=2.0),
+    lambda: random_point_registry(_NO_DRAW, dim=0),
+    lambda: random_point_registry(_NO_DRAW, dim=True),
+    lambda: random_point_registry(_NO_DRAW, size=axioms.MAX_COORDINATES, dim=2),
+], ids=["subset-float", "subset-bool", "subset-float-max", "subset-zero", "subset-order",
+        "subset-empty-pool", "inner-zero", "inner-float", "inner-order", "outer-zero",
+        "outer-order", "outer-bool", "nested-empty-pool", "chained-small-pool", "pool-size",
+        "pool-size-float", "pool-dim", "pool-dim-bool", "pool-coordinates"])
+def test_refusals_come_at_construction(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_valid_sizes_draw_as_before():
+    # one helper draws both samplers' sets: rng.sample(ids, rng.randint(lo, hi))
+    ids = list(_POOL.ids())
+    rng, ref = random.Random(3), random.Random(3)
+    a, b, c = subset_triple_sampler(_POOL, 2, 20)(rng)
+    assert [s.ids for s in (a, b, c)] == [
+        frozenset(ref.sample(ids, ref.randint(2, 12))) for _ in range(3)]
+    assert rng.random() == ref.random()
 
 
 def test_resource_limits_are_checked_before_any_work():

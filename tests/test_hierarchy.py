@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +28,7 @@ from setmetric import (
     random_point_registry,
     subset_triple_sampler,
 )
+from setmetric.hierarchy import MAX_DUALITY_MEMBERS
 
 
 class TestNestedSet:
@@ -187,6 +189,16 @@ class TestContainingCollection:
         with pytest.raises(ParameterError):
             containing_collection(0, reg.universe())
 
+    def test_one_bound_for_both_enumerations(self):
+        # containing_collection and duality_ratio stop at the same ground size
+        reg = ElementRegistry({i: None for i in range(MAX_DUALITY_MEMBERS + 1)})
+        largest = reg.set_of(range(MAX_DUALITY_MEMBERS))
+        assert len(containing_collection(0, largest).value) == 2 ** 11
+        with pytest.raises(ParameterError, match="would enumerate 2\\^12 subsets"):
+            containing_collection(0, reg.universe())
+        with pytest.raises(ParameterError, match="2..12 elements, got 13"):
+            duality_ratio(reg.universe(), 1.0)
+
 
 class TestDuality:
     def test_two_point_ground_set_is_exactly_half(self, line_registry):
@@ -209,8 +221,31 @@ class TestDuality:
         ground = line_registry.set_of([0, 1, 2])
         kappa1, _ = duality_ratio(ground, 1.0)
         kappa2, table2 = duality_ratio(ground, 2.0)
-        assert kappa1 == pytest.approx(kappa2)
-        assert table2[0][2] == pytest.approx(2.0 * kappa1)
+        assert kappa1 == kappa2
+        assert table2[0][2] == 2.0 * kappa1
+
+    @pytest.mark.parametrize("lam", [5e-324, 1e-300, 0.3, 2.5, 1e300, 1e308])
+    def test_kappa_is_independent_of_the_scale(self, line_registry, lam):
+        # lam scales only the returned rows: kappa is the unit-scale value bit
+        # for bit, also where lam * kappa underflows to 0 or nears the float max
+        for size in (2, 3, 5):
+            ground = line_registry.set_of(range(size))
+            kappa1, _ = duality_ratio(ground, 1.0)
+            kappa, table = duality_ratio(ground, lam)
+            assert kappa == kappa1
+            assert {d for _, _, d in table} == {lam * kappa1}
+
+    def test_closed_form_by_hand(self):
+        assert kappa_closed_form(2) == Fraction(1, 2)
+        assert kappa_closed_form(3) == Fraction(35, 72)
+
+    @pytest.mark.parametrize("size", range(2, 9))
+    def test_kappa_within_one_ulp_of_the_closed_form(self, line_registry, size):
+        # f rounds two quotients, not one, so kappa may miss the correctly
+        # rounded value by 1 ulp (it does at size 6)
+        kappa, _ = duality_ratio(line_registry.set_of(range(size)), 1.0)
+        exact = kappa_closed_form(size)
+        assert abs(Fraction(kappa) - exact) <= math.ulp(float(exact))
 
     def test_matches_nested_metric_route(self, line_registry):
         m = DiscreteMetric(1.0)
@@ -239,16 +274,16 @@ class TestDuality:
 
     @pytest.mark.parametrize("lam", [1.0, 0.3, 2.5])
     def test_bitmask_blocks_equal_the_set_computation(self, line_registry, lam):
-        def scaled_jaccard(s, t):
-            return lam * len(s ^ t) / len(s | t)
+        def jaccard(s, t):
+            return len(s ^ t) / len(s | t)
 
         def level_two(ca, cb):
-            """The average construction on collections of frozensets, summed
-            pair by pair with fsum."""
+            """The average construction on collections of frozensets under the
+            unit discrete metric, summed pair by pair with fsum."""
             b_only, a_only = cb - ca, ca - cb
             n_union = len(ca) + len(b_only)
-            s1 = math.fsum(scaled_jaccard(s, t) for s in ca for t in b_only)
-            s2 = math.fsum(scaled_jaccard(s, t) for s in a_only for t in cb)
+            s1 = math.fsum(jaccard(s, t) for s in ca for t in b_only)
+            s2 = math.fsum(jaccard(s, t) for s in a_only for t in cb)
             return s1 / (n_union * len(ca)) + s2 / (n_union * len(cb))
 
         for size in range(2, 8):
@@ -260,10 +295,21 @@ class TestDuality:
             }
             _, table = duality_ratio(ground, lam)
             assert table == tuple(
-                (x, y, level_two(colls[x], colls[y]))
+                (x, y, lam * level_two(colls[x], colls[y]))
                 for x, y in itertools.combinations(ground.members, 2)
             )
 
     def test_ground_set_size_limits(self, line_registry):
         with pytest.raises(ParameterError):
             duality_ratio(line_registry.set_of([0]), 1.0)
+
+
+def kappa_closed_form(n: int) -> Fraction:
+    """κ(n) under the discrete metric, exact: with m = n - 2, the pairs
+    S ∋ a, T ∋ b, a ∉ T grouped by t = |(S ∪ T) ∖ {a, b}| and
+    u = |(S △ T) ∖ {a, b}| number C(m,t) C(t,u) 2^u for each of b ∈ S and
+    b ∉ S, at Jaccard distances (1 + u)/(2 + t) and (2 + u)/(2 + t)."""
+    m = n - 2
+    total = sum(Fraction(math.comb(m, t) * math.comb(t, u) * 2 ** u * (3 + 2 * u), 2 + t)
+                for t in range(m + 1) for u in range(t + 1))
+    return 2 * total / (3 * 2 ** (n - 2) * 2 ** (n - 1))
