@@ -53,6 +53,7 @@ from .core import (
 )
 from .errors import (
     DomainError,
+    EmptySetError,
     NullMeasureError,
     ParameterError,
     SamplingError,
@@ -427,7 +428,7 @@ def _sample_sides(a: Membership, b: Membership, plan: SamplePlan) -> tuple:
                              f"(ids outside it: {outside})")
     ids = list(plan.population.members)
     if not ids:
-        raise ParameterError("finite sampling population is empty")
+        raise EmptySetError("finite sampling population is empty")
     rng = np.random.default_rng(plan.seed)
     drawn = {ids[k] for k in rng.integers(0, len(ids), plan.n)}
     return drawn & a.ids, drawn & b.ids

@@ -277,8 +277,8 @@ def _vector_pair(x: Element, y: Element) -> tuple[tuple[float, ...], tuple[float
 
 
 def _require_scale(lam: float) -> None:
-    """A discrete scale is a finite positive distance."""
-    if not 0 < lam < math.inf:
+    """A discrete scale is a finite positive distance, and not a bool."""
+    if isinstance(lam, bool) or not 0 < lam < math.inf:
         raise ParameterError(f"discrete scale must be finite and positive, got {lam}")
 
 

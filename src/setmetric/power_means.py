@@ -12,7 +12,9 @@ of v being the log of the power mean of e^v, and one kernel, ``_log_scale``,
 accumulates both in the log domain relative to the factored extreme value,
 so large ``p * x`` cannot overflow. Every arithmetic mean, of the values,
 their logs or the kernel's terms, is ``core._quotient`` over the count,
-which cannot overflow where the mean is finite.
+which cannot overflow where the mean is finite. ``_mean_rows``, the means of
+the rows of a cross-distance block, takes the general branch in numpy and
+hands every row of a rarer branch to the scalar mean.
 
 Composing means over a pair of finite sets yields a two-parameter family
 that specializes to the average-distance metric (both orders at their
@@ -169,11 +171,6 @@ def _log_scale(logs: list[float], p: float) -> float | None:
     return math.log1p(_mean([math.expm1(p * x) for x in logs])) / p
 
 
-# The means of each row of a chunk of the cross-distance block, whose values
-# are finite and non-negative: the scalar means on 2-d arrays, with the same
-# kernel and infinities, which pass without warnings.
-
-
 def _row_means(rows: np.ndarray) -> np.ndarray:
     """``_mean`` of each row: correctly rounded, so a mean does not depend on
     the order of the ids, as numpy's row sums would."""
@@ -181,75 +178,52 @@ def _row_means(rows: np.ndarray) -> np.ndarray:
     return np.array([_mean(row) for row in rows.tolist()])
 
 
-def _power_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
-    """``power_mean(row, p)`` for each row of ``rows``."""
+def _mean_rows(kind: int, rows: np.ndarray, p: float) -> np.ndarray:
+    """``_means(kind)(row, p)`` for each row of ``rows``, a chunk of the
+    cross-distance block, whose values are finite and non-negative.
+
+    numpy takes the limit orders, the arithmetic and geometric means, a zero
+    extreme and the general branch of ``_log_scale``. Every other row, and
+    every row whose numpy mean is not finite, is the scalar mean: the rare
+    branches are the scalar means' own.
+    """
     import numpy as np
     if p == _INF:
         return rows.max(axis=1)
     if p == -_INF:
         return rows.min(axis=1)
-    if p == 1:
+    if p == kind:  # the arithmetic order: 1 for power means, 0 for exponential ones
         return _row_means(rows)
-    # m is the extreme value factored out; where it is 0, so is the mean: a
-    # zero value for p <= 0, a row of zeros for p > 0
-    m = rows.max(axis=1) if p > 0 else rows.min(axis=1)
-    means = np.zeros(len(rows))
-    live = np.flatnonzero(m)
-    x, m = rows[live], m[live, None]
-    if p != 0:
-        with np.errstate(divide="ignore", over="ignore"):
-            ratio = x / m
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if p == 0:  # the geometric mean: a zero value's log is -inf, and the mean 0
+            return np.exp(_row_means(np.log(rows)))
+        m = rows.max(axis=1, keepdims=True) if p > 0 else rows.min(axis=1, keepdims=True)
+        if kind:
+            ratio = rows / m
             logs = np.log(ratio)
-            # as in _log_ratio: a positive value's ratio is subnormal, 0 or inf
-            odd = (x > 0.0) & ((ratio < _TINY) | (ratio == _INF))
-            if odd.any():
-                logs[odd] = (np.log(x) - np.log(m))[odd]
-            y = _log_scale_rows(logs, p)
-            # as in power_mean: where e^y is not a normal float, scale in the log domain
-            normal = (_LOG_TINY <= y) & (y <= _LOG_MAX)
-            means[live] = np.where(normal, m[:, 0] * np.exp(y), np.exp(np.log(m[:, 0]) + y))
-        geometric = np.isnan(y)
-        live, x = live[geometric], x[geometric]
-    if live.size:
-        means[live] = np.exp(_row_means(np.log(x)))
-    return means
-
-
-def _exp_mean_rows(rows: np.ndarray, p: float) -> np.ndarray:
-    """``exp_mean(row, p)`` for each row of ``rows``. The values are
-    non-negative, so v - m cannot overflow."""
-    import numpy as np
-    if p == _INF:
-        return rows.max(axis=1)
-    if p == -_INF:
-        return rows.min(axis=1)
-    if p == 0:
-        return _row_means(rows)
-    m = rows.max(axis=1) if p > 0 else rows.min(axis=1)
-    y = _log_scale_rows(rows - m[:, None], p)
-    means = m + y
-    arithmetic = np.isnan(y)
-    if arithmetic.any():
-        means[arithmetic] = _row_means(rows[arithmetic])
-    return means
-
-
-def _log_scale_rows(logs: np.ndarray, p: float) -> np.ndarray:
-    """``_log_scale`` of each row, NaN for None."""
-    import numpy as np
-    y = np.full(len(logs), np.nan)
-    with np.errstate(over="ignore"):
+            # as in _log_ratio: a positive value's ratio to m is subnormal, 0 or inf
+            scalar = ((rows > 0.0) & ((ratio < _TINY) | (ratio == _INF))).any(axis=1)
+        else:
+            logs, scalar = rows - m, False
         spread = np.abs(logs).max(axis=1)
-        powered = ~((spread > 0.0) & (spread * abs(p) < _TINY))
-        y[powered] = np.log1p(_row_means(np.expm1(p * logs[powered]))) / p
-    return y
+        y = np.log1p(_row_means(np.expm1(p * logs))) / p
+        means = m[:, 0] * np.exp(y) if kind else m[:, 0] + y
+        scalar |= ((spread > 0.0) & (spread * abs(p) < _TINY)) | ~np.isfinite(means)
+        if kind:
+            scalar |= (y < _LOG_TINY) | (y > _LOG_MAX)  # e^y is not a normal float
+            # a zero m makes the power mean 0: a zero value for p < 0, a row of zeros for p > 0
+            zero = m[:, 0] == 0.0
+            means[zero], scalar[zero] = 0.0, False
+    for r in np.flatnonzero(scalar).tolist():
+        means[r] = _means(kind)(rows[r].tolist(), p)
+    return means
 
 
 def _means(kind: int):
-    """The scalar mean of ``kind`` and its row-wise twin, looked up at each call."""
+    """The scalar mean of ``kind``, looked up at each call."""
     if kind not in (0, 1):
         raise ParameterError(f"mean kind must be 0 or 1, got {kind}")
-    return (power_mean, _power_mean_rows) if kind else (exp_mean, _exp_mean_rows)
+    return power_mean if kind else exp_mean
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +252,7 @@ def pointwise_mean_distance(
     _require_orders(p=p, q=q)
     _require_same_registry("pointwise_mean_distance", a, b)
     _require_nonempty("pointwise_mean_distance", a, b)
-    outer = _means(i)[0]
+    outer = _means(i)
     into_a = _means_into(m, a, b, j, q)
     into_b = _means_into(m, b, a, j, q)
     values = [
@@ -296,12 +270,12 @@ def _means_into(m: BaseMetric, side: FiniteSet, other: FiniteSet, j: int, q: flo
     time; otherwise one row per call, so rows and their errors come in the
     caller's order.
     """
-    inner, row_means = _means(j)
+    inner = _means(j)
     registry, inside = side.registry, side.ids
     outside = [eid for eid in other.members if eid not in inside]
     rows = _cross_rows(m, registry, outside, side.members)
     if rows is not None:
-        means = itertools.chain.from_iterable(row_means(chunk, q).tolist() for chunk in rows)
+        means = itertools.chain.from_iterable(_mean_rows(j, chunk, q).tolist() for chunk in rows)
         return dict(zip(outside, means)).__getitem__
     targets = side.elements()
 
@@ -333,7 +307,7 @@ def sidewise_mean_distance(
     _require_orders(r=r, p=p, q=q)
     _require_same_registry("sidewise_mean_distance", a, b)
     _require_nonempty("sidewise_mean_distance", a, b)
-    middle, outer = _means(i)[0], _means(k)[0]
+    middle, outer = _means(i), _means(k)
     union_ids = a.union(b).members
 
     def branch(side: FiniteSet, other: FiniteSet) -> float:

@@ -10,6 +10,7 @@ exact, sums 1e-13 relative, means 1e-12 relative.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -201,10 +202,46 @@ ROW_VALUES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e30
 @example(rows=[[5e-324, 1e300, 1e300, 1e300]], j=1, q=-5e-324)
 @example(rows=[[1.0, 3.0, 0.5, 0.0], [1e300, 0.5, 1.0, 3.0]], j=0, q=1e300)
 def test_row_means_match_the_scalar_means(rows, j, q):
-    row_means = power_means._power_mean_rows if j == 1 else power_means._exp_mean_rows
-    for row, got in zip(rows, row_means(np.array(rows), q).tolist()):
+    for row, got in zip(rows, power_means._mean_rows(j, np.array(rows), q).tolist()):
         # where p * x or a ratio overflows, both forms take the limit: no nan
         assert math.isclose(got, mean(j)(row, q), rel_tol=MEAN_REL)
+
+
+def general_branch(j, row, q):
+    """Whether the scalar mean of ``row`` is m e^y or m + y, y the powered
+    branch of ``_log_scale``: for a power mean, a positive m, every ratio to
+    m of a positive value a normal float, and e^y a normal float."""
+    m = max(row) if q > 0 else min(row)
+    if not j:
+        logs = [v - m for v in row]
+    elif m == 0.0 or any(v and not sys.float_info.min <= v / m < math.inf for v in row):
+        return False
+    else:
+        logs = [math.log(v / m) if v else -math.inf for v in row]
+    y = power_means._log_scale(logs, q)
+    return y is not None and (not j or math.log(sys.float_info.min) <= y <= math.log(sys.float_info.max))
+
+
+# orders and values that reach the rare branches: the order-0 cutoff, ratios
+# that are subnormal, 0 or inf, and e^y outside the normal floats
+RARE_VALUES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1.7e308]), st.floats(0.01, 100.0))
+
+
+# the row forms once copied the rare branches of the scalar means, and two of
+# them came out 1 ulp off: the geometric mean at the cutoff and log(v) - log(m)
+@settings(max_examples=1000, deadline=None)
+@given(rows=st.integers(1, 5).flatmap(
+           lambda n: st.lists(st.lists(RARE_VALUES, min_size=n, max_size=n), min_size=1, max_size=6)),
+       j=st.integers(0, 1), q=st.sampled_from([s * x for s in (1, -1) for x in (5e-324, 1e-300, 1e10, 1e300)]))
+@example(rows=[[0.3908128980303037, 2.766377979520266, 0.9411775494583565, 2.1611804033401993]],
+         j=1, q=5e-324)
+@example(rows=[[3.3377944101852945e-279, 1e300]], j=1, q=1e10)
+def test_row_means_off_the_general_branch_are_the_scalar_means(rows, j, q):
+    for row, got in zip(rows, power_means._mean_rows(j, np.array(rows), q).tolist()):
+        if general_branch(j, row, q):
+            assert math.isclose(got, mean(j)(row, q), rel_tol=MEAN_REL)
+        else:
+            assert got == mean(j)(row, q)
 
 
 def test_large_operands_take_the_block_and_small_ones_do_not():

@@ -189,6 +189,58 @@ def test_malformed_workspace_exits_2(tmp_path, doc, argv):
     assert "Traceback" not in result.stderr
 
 
+TABLE_ELEMENTS = {"elements": {"a": None, "b": None}, "sets": {"A": ["a"], "B": ["b"]}}
+EMPTY_POPULATIONS = {"elements": {"a": None}, "sets": {"Z": []}, "intervals": {"E": []}}
+DIST_F = ["dist", "--workspace", "{ws}", "--family", "f", "A", "B"]
+
+
+# Each refusal prints its message, with no traceback, and exits with the code
+# of its class. ``doc`` is the workspace text or object, None for no file;
+# "{ws}" stands for its path. The message is the last line of stderr, after
+# argparse's usage where argparse refuses.
+@pytest.mark.parametrize("doc, argv, code, message", [
+    (None, DIST_F, 2, "error: workspace file not found: {ws}"),
+    ('{"a": ', DIST_F, 2,
+     "error: workspace file is not valid JSON: Expecting value: line 1 column 7 (char 6)"),
+    ({"metric": {"kind": "bogus"}}, DIST_F, 2, "error: unknown metric kind 'bogus'"),
+    ({"metric": {"kind": "matrix", "ids": ["a", "b"]}, **TABLE_ELEMENTS}, DIST_F, 2,
+     'error: matrix metric needs "ids" and "values"'),
+    ({"metric": {"kind": "matrix", "ids": ["a", "a"], "values": [[0, 1], [1, 0]]}, **TABLE_ELEMENTS},
+     DIST_F, 2, "error: invalid metric config: matrix metric ids must be unique"),
+    ({"metric": {"kind": "matrix", "ids": ["a", "b"], "values": [[0, 1], [1]]}, **TABLE_ELEMENTS},
+     DIST_F, 2, "error: invalid metric config: matrix metric table must be 2x2"),
+    ({"elements": {"a": [0.0]}, "fuzzy": {"FA": ["a"]}}, DIST_F, 2,
+     "error: fuzzy set 'FA' must map ids to grades"),
+    ({"elements": {"a": [0.0]}, "fuzzy": {"FA": {"z": 1.0}}}, DIST_F, 2,
+     "error: fuzzy set 'FA' references unknown ids ['z']"),
+    (WORKSPACE, ["dist", "--workspace", "{ws}", "--family", "fuzzy", "--alpha-grid", "x", "FA", "FB"],
+     2, "setmetric dist: error: argument --alpha-grid: bad alpha grid 'x'"),
+    (WORKSPACE, ["dist", "--workspace", "{ws}", "--family", "fuzzy", "--alpha-grid", "2", "FA", "FB"],
+     2, "error: alpha level must lie in (0, 1], got 2.0"),
+    (WORKSPACE, ["dist", "--workspace", "{ws}", "--family", "fuzzy", "--alpha-grid", ",", "FA", "FB"],
+     2, "error: alpha grid is empty"),
+    (WORKSPACE, ["dist", "--workspace", "{ws}", "--family", "fk", ",", "A"],
+     2, "error: empty nested operand ','"),
+    (None, ["axioms", "--random", "--family", "f", "--sizes", "a:b"],
+     2, "error: bad --sizes 'a:b', expected LO:HI"),
+    (EMPTY_POPULATIONS, ["estimate", "--workspace", "{ws}", "E", "E", "--population", "E"],
+     3, "domain error: sampling population has zero measure"),
+    # raised a ParameterError, and exited 2
+    (EMPTY_POPULATIONS, ["estimate", "--workspace", "{ws}", "Z", "Z", "--population", "Z"],
+     3, "domain error: finite sampling population is empty"),
+], ids=["missing-file", "invalid-json", "bogus-kind", "no-values", "duplicate-ids", "not-square",
+        "fuzzy-not-object", "fuzzy-unknown-id", "alpha-grid-x", "alpha-grid-2", "alpha-grid-comma",
+        "empty-nested", "sizes-a-b", "empty-interval-population", "empty-finite-population"])
+def test_refusals_exit_cleanly(tmp_path, doc, argv, code, message):
+    path = tmp_path / "workspace.json"
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    result = run_cli(*(arg.format(ws=path) for arg in argv))
+    assert (result.returncode, result.stdout) == (code, "")
+    assert result.stderr.splitlines()[-1] == message.format(ws=path)
+    assert "Traceback" not in result.stderr
+
+
 # the registry refuses empty coordinates, and the loader names the element
 def test_empty_coordinates_message(tmp_path):
     path = tmp_path / "workspace.json"
@@ -466,6 +518,17 @@ class TestAxioms:
         assert not report["ok"]
         assert any(v["axiom"] == "M5" for v in report["violations"])
         assert all(v["magnitude"] > report["tolerance"] for v in report["violations"])
+
+    def test_text_report_of_violations(self):
+        result = run_cli("axioms", "--random", "--family", "e", "--fixture", "chained-overlap",
+                         "--n", "50", "--seed", "5")
+        assert result.returncode == 1
+        assert result.stdout == (
+            "family=e checked=50 tolerance=1e-09 axioms=M1,M2,M3,M4,M5\n"
+            "violations[M5] = 50\n"
+            "worst: M5 magnitude=0.0966084558542\n"
+            "  witness: {4, 8} | {4, 8, 9, 10} | {8, 9, 10}\n"
+        )
 
     def test_partial_mode_for_log_cardinality(self):
         result = run_cli("axioms", "--random", "--family", "dnu", "--nu", "0.25",

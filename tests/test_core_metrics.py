@@ -105,7 +105,7 @@ class TestBaseMetrics:
             DiscreteMetric(0.0)
 
     # an infinite scale printed inf for f and nan inside the power means
-    @pytest.mark.parametrize("lam", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -1.0, True])
     def test_discrete_scale_must_be_finite(self, lam):
         with pytest.raises(ParameterError, match="finite and positive"):
             DiscreteMetric(lam)

@@ -29,7 +29,7 @@ from setmetric import (
     subset_triple_sampler,
 )
 from setmetric import power_means
-from setmetric.power_means import _exp_mean_rows, _power_mean_rows
+from setmetric.power_means import _mean_rows
 
 INF = float("inf")
 
@@ -87,7 +87,7 @@ class TestPowerMean:
         values, p = [5e-324, 1e300], -0.01
         expected = 6.262659932695864915e-294  # from a 60-digit evaluation
         assert power_mean(values, p) == pytest.approx(expected, rel=1e-12, abs=0)
-        assert _power_mean_rows(np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert _mean_rows(1, np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
     # e^-700 / e^28 is subnormal, and its log kept too few bits: the mean was
     # off by 1.3e-9 relative
@@ -95,7 +95,7 @@ class TestPowerMean:
         values, p = [math.exp(28), math.exp(-700)], 0.00390625
         expected = 2.4358233827397885692e-59  # from an 80-digit evaluation
         assert power_mean(values, p) == pytest.approx(expected, rel=1e-12, abs=0)
-        assert _power_mean_rows(np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert _mean_rows(1, np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
     # the mean lies more than e^708 below the factored maximum e^546, so e^y
     # underflowed and the mean was 0
@@ -103,7 +103,7 @@ class TestPowerMean:
         values, p = [math.exp(546), math.exp(-444), math.exp(-700)], 1.2e-237
         expected = 2.6954623744224761454e-87  # the geometric mean, from an 80-digit evaluation
         assert power_mean(values, p) == pytest.approx(expected, rel=1e-12, abs=0)
-        assert _power_mean_rows(np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert _mean_rows(1, np.array([values]), p)[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
     # inf / inf is nan: the mean was nan, and a math domain error beside a zero
     @pytest.mark.parametrize("values, p, expected", [
@@ -123,7 +123,7 @@ class TestPowerMean:
     def test_arithmetic_mean_whose_sum_overflows(self):
         assert power_mean([1e308, 1e308], 1.0) == 1e308
         assert power_mean([1.7e308, 1.7e308, 1.0], 1.0) == float((2 * Fraction(1.7e308) + 1) / 3)
-        assert _power_mean_rows(np.array([[1e308, 1e308]]), 1.0).tolist() == [1e308]
+        assert _mean_rows(1, np.array([[1e308, 1e308]]), 1.0).tolist() == [1e308]
 
     def test_errors(self):
         with pytest.raises(ParameterError):
@@ -182,7 +182,7 @@ class TestExpMean:
     def test_arithmetic_mean_whose_sum_overflows(self):
         assert exp_mean([1e308, 1e308], 0.0) == 1e308
         assert exp_mean([1e308, 1e308, -1.0], 0.0) == float((2 * Fraction(1e308) - 1) / 3)
-        assert _exp_mean_rows(np.array([[1e308, 1e308]]), 0.0).tolist() == [1e308]
+        assert _mean_rows(0, np.array([[1e308, 1e308]]), 0.0).tolist() == [1e308]
 
     # fsum raised a bare ValueError
     def test_opposite_infinities_have_no_arithmetic_mean(self):
