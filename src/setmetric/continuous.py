@@ -23,9 +23,9 @@ Steinhaus distance mu(A△B)/mu(A∪B).
 continuous populations: sample a superset, intersect the sample with each
 set, and evaluate the finite-set metric on the intersections. numpy is
 imported only by membership masks and sampling, so the interval distances
-never load it. ``fuzzy_distance`` loads it only through the block path of
-``core``, which it bypasses for sets of at most ``_MEMO_MAX_PAIRS`` pairs of
-members.
+never load it. ``fuzzy_distance`` does not load it over points: its cut
+distances are ``core``'s, read through a memo for sets of at most
+``_MEMO_MAX_PAIRS`` pairs of members and as exact Python rows above.
 """
 
 from __future__ import annotations
@@ -358,10 +358,9 @@ Membership = Union[IntervalUnion, FiniteSet]
 
 
 def _sample_interval_points(population: IntervalUnion, plan: SamplePlan) -> np.ndarray:
+    """The plan's sample of a population of positive measure, sorted and unique."""
     import numpy as np
     total = population.measure
-    if total == 0.0:
-        raise NullMeasureError("sampling population has zero measure")
     lengths = np.array([p.length for p in population.parts])
     offsets = np.concatenate(([0.0], np.cumsum(lengths)))
     los = np.array([p.lo for p in population.parts])
@@ -403,32 +402,41 @@ def _average_metric_1d(xs: np.ndarray, ys: np.ndarray) -> float:
     return value * unit
 
 
-def _sample_sides(a: Membership, b: Membership, plan: SamplePlan) -> tuple:
+def _sample_sides(a: Membership, b: Membership, plan: SamplePlan, nonempty: bool = False) -> tuple:
     """The plan's sample intersected with A and with B: arrays of sorted
-    unique points for an interval population, id sets for a finite one. The
-    operands must be of the population's kind and lie in it, which is
-    checked before any draw."""
+    unique points for an interval population, id sets for a finite one.
+    Before any draw, in this order: the operands must be of the population's
+    kind and lie in it, the population must not be empty, and where
+    ``nonempty`` is set neither may the operands, as no sample count could
+    then meet them."""
     import numpy as np
-    kind = IntervalUnion if isinstance(plan.population, IntervalUnion) else FiniteSet
+    population = plan.population
+    kind = IntervalUnion if isinstance(population, IntervalUnion) else FiniteSet
     if not (isinstance(a, kind) and isinstance(b, kind)):
         raise ParameterError(
-            f"sampling a {type(plan.population).__name__} population expects "
+            f"sampling a {type(population).__name__} population expects "
             f"{kind.__name__} operands, got {type(a).__name__} and {type(b).__name__}"
         )
     if kind is IntervalUnion:
-        uncovered = a.union(b).difference(plan.population).measure
+        uncovered = a.union(b).difference(population).measure
         if uncovered > 0.0:
             raise ParameterError(f"sampling population does not cover the operands "
                                  f"(uncovered measure {uncovered:g})")
-        points = _sample_interval_points(plan.population, plan)
+        if not population.parts:  # the only unions of zero measure
+            raise NullMeasureError("sampling population has zero measure")
+    else:
+        outside = len((a.ids | b.ids) - population.ids)
+        if outside:
+            raise ParameterError(f"sampling population does not cover the operands "
+                                 f"(ids outside it: {outside})")
+        if not population.members:
+            raise EmptySetError("finite sampling population is empty")
+    if nonempty and not all(s.parts if kind is IntervalUnion else s.members for s in (a, b)):
+        raise EmptySetError("estimate_average_metric requires non-empty sets")
+    if kind is IntervalUnion:
+        points = _sample_interval_points(population, plan)
         return points[a._inside(points)], points[b._inside(points)]
-    outside = len((a.ids | b.ids) - plan.population.ids)
-    if outside:
-        raise ParameterError(f"sampling population does not cover the operands "
-                             f"(ids outside it: {outside})")
-    ids = list(plan.population.members)
-    if not ids:
-        raise EmptySetError("finite sampling population is empty")
+    ids = list(population.members)
     rng = np.random.default_rng(plan.seed)
     drawn = {ids[k] for k in rng.integers(0, len(ids), plan.n)}
     return drawn & a.ids, drawn & b.ids
@@ -444,15 +452,15 @@ def estimate_average_metric(
 
     Draws the plan's sample from the population, forms the finite sets
     S∩A and S∩B, and returns the exact finite-set metric on those, together
-    with their sizes. Deterministic for a fixed seed. A population that
-    does not cover A and B is a ``ParameterError``, before any draw. Raises
-    if either intersection comes out empty; an empty sample is reported,
-    never papered over.
+    with their sizes. Deterministic for a fixed seed. An empty operand is an
+    ``EmptySetError`` and a population that does not cover A and B a
+    ``ParameterError``, both before any draw. Raises if either intersection
+    comes out empty; an empty sample is reported, never papered over.
     """
     finite = not isinstance(plan.population, IntervalUnion)
     if finite and metric is None:
         raise ParameterError("finite-population estimation needs a ground metric")
-    sample_a, sample_b = _sample_sides(a, b, plan)
+    sample_a, sample_b = _sample_sides(a, b, plan, nonempty=True)
     if not len(sample_a) or not len(sample_b):
         raise SamplingError(
             f"sample missed a set entirely (|S∩A|={len(sample_a)}, "
@@ -481,12 +489,14 @@ def sample_count_ratio(a: Membership, b: Membership, plan: SamplePlan) -> float:
 # ---------------------------------------------------------------------------
 
 # The most pairs of members, |A|·|B|, for which fuzzy_distance reads the
-# ground metric through a memo rather than the block path. Warm, with numpy
-# loaded, on two sets of n 3-d points sharing two thirds of them (medians of
-# 7 processes, 2-vCPU VM), the memo against the block path took: n = 30,
-# 6.3 against 8.9 ms; 36, 12.0 against 12.9 and 13.3 against 13.6; 40, 15.8
-# against 14.5 and 18.5 against 17.4; 50, 21.3 against 17.6; 100, 74 against
-# 36. Cold, the block path first pays ~0.15 s for numpy's import.
+# ground metric through a memo rather than ``core``'s exact rows; neither
+# loads numpy. Warm, on three sets of n 3-d points, each sharing two thirds
+# of its points with the next, the three distances of the matrix took, with
+# the memo against the rows (two series, each the medians of 30 runs over 5
+# seeds, 2-vCPU VM): n = 30, 26.7 against 31.4 and 27.3 against 27.6 ms;
+# 33, 27.8 against 27.1 and 33.6 against 39.4; 36, 34.1 against 31.7 and 48.9
+# against 48.4; 40, 40.4 against 33.9 and 67.3 against 59.9; 50, 52 against
+# 40; 100, 203 against 113.
 _MEMO_MAX_PAIRS = 36 * 36
 
 
@@ -535,8 +545,8 @@ def fuzzy_distance(
 
     The cuts share their pairs of members, so where |A|·|B| (members with
     any grade) is at most ``_MEMO_MAX_PAIRS``, each ground distance is
-    evaluated once, through ``core._Memo``, and numpy is not loaded. Larger
-    sets read ``m`` itself, whose block path pays for numpy's import there.
+    evaluated once, through ``core._Memo``. Larger sets read ``m`` itself,
+    whose cut distances take ``core``'s exact rows from 256 pairs on.
     """
     if not 0 <= alpha_weight < math.inf:  # NaN too
         raise ParameterError(f"alpha weight must be finite and non-negative, got {alpha_weight}")

@@ -21,19 +21,21 @@ The construction behind ``average_metric`` is written once, in
 ``_set_average``; the nested, duality, fuzzy and sampled 1-d distances call
 it with their own inner distance.
 
-Every finite-set distance above reads one matrix of cross distances d(x, y).
-Small matrices are evaluated pair by pair through ``distance``; from
-``_BLOCK_MIN_PAIRS`` pairs on, under a Euclidean or table metric,
-``_cross_rows`` produces the matrix with numpy, in chunks of rows. Every
-average of floats, here and in the other modules, is one ``_quotient`` of a
-sum, finite wherever its exact value is; minima are evaluated again through
-``distance`` where the block cannot tell them apart, so they are exact.
+Every finite-set distance above reads the cross distances d(x, y) of two
+operands. Small operands are evaluated pair by pair through ``distance``;
+from ``_BLOCK_MIN_PAIRS`` pairs on, under a Euclidean or table metric,
+``_exact_rows`` reads them as Python rows, ``math.dist`` over the payloads or
+a table row indexed by its columns, which is what ``distance`` returns bit
+for bit. Sums stream these rows into ``math.fsum``; ``hausdorff`` takes one
+early-exit scan over them. Every average of floats, here and in the other
+modules, is one ``_quotient`` of a sum, finite wherever its exact value is.
 
-numpy is imported inside the functions that use it: the block path and the
-triangle check of a ``MatrixMetric``, at the first read of one of its
-distances. The scalar path never loads it otherwise, nor does a ground
-metric read through ``_Memo``, which ``continuous.fuzzy_distance`` uses for
-small fuzzy sets, nor building a table, whose cells are checked in Python.
+numpy is imported inside the functions that use it: the triangle check of a
+``MatrixMetric``, at the first read of one of its distances, and the block
+of ``_cross_rows``, which only the row-wise means of ``power_means`` read.
+Nothing else in this module loads it: not the sums or ``hausdorff`` over
+points, not ``_Memo``, nor building a table, whose cells are checked in
+Python.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -243,12 +246,18 @@ class FiniteSet(_Frozen):
 class BaseMetric:
     """Ground distance between elements; subclasses implement ``distance``.
 
-    ``EuclideanMetric`` and ``MatrixMetric`` also supply a batched form for
-    ``_cross_rows``: ``_operand(registry, ids)`` gathers what ``_block`` needs
-    for a sequence of ids, or returns None to keep these ids on the scalar
-    path, and ``_block(x, y)`` returns the float64 matrix d(x_i, y_j) for two
-    operands (or row slices of them), each value within relative 2**-32 of
-    ``distance``. Other metrics, subclasses included, take the scalar path.
+    ``EuclideanMetric`` and ``MatrixMetric`` also supply two batched forms;
+    other metrics, subclasses included, take the scalar path. Each form
+    returns None to keep its ids on the scalar path, which names a bad pair.
+
+    * ``_exact_form(registry, xs, ys)``, for ``_exact_rows``: a function d
+      and two lists us, vs such that ``d(us[i], vs[j])`` is
+      ``distance(x_i, y_j)`` bit for bit. The sums and ``hausdorff`` read it,
+      and it loads no numpy of its own.
+    * ``_operand(registry, ids)`` and ``_block(x, y)``, for ``_cross_rows``:
+      the float64 matrix d(x_i, y_j) in numpy, each value within relative
+      2**-32 of ``distance``. Only the row-wise means of ``power_means``
+      read it.
 
     ``symmetric`` says that ``distance(x, y) == distance(y, x)`` holds bit
     for bit, so a caller may evaluate one order for both; a subclass that
@@ -304,6 +313,18 @@ class EuclideanMetric(BaseMetric, _Frozen):
         px, py = _vector_pair(x, y)
         return math.dist(px, py)
 
+    def _exact_form(self, registry: "ElementRegistry", xs: Collection, ys: Collection) -> tuple | None:
+        """``math.dist`` and the payloads of ``xs`` and ``ys``, where every one
+        is a tuple of one common length, as ``distance`` then needs; None
+        otherwise."""
+        element = registry.element
+        px = [element(x).payload for x in xs]
+        py = [element(y).payload for y in ys]
+        dim = len(px[0]) if isinstance(px[0], tuple) else -1
+        if all(isinstance(p, tuple) and len(p) == dim for p in itertools.chain(px, py)):
+            return math.dist, px, py
+        return None
+
     def _operand(self, registry: "ElementRegistry", ids: Collection) -> np.ndarray | None:
         """The payloads of ``ids`` as one float64 array with a row per id.
 
@@ -337,7 +358,8 @@ class EuclideanMetric(BaseMetric, _Frozen):
 
 
 class LpMetric(BaseMetric, _Frozen):
-    """L_p distance on vector payloads, 1 <= p < inf."""
+    """L_p distance on vector payloads, 1 <= p < inf, within 3 ulps of the
+    exact value at p = 1.5, 3 and 7 (``tests/test_core_metrics.py``)."""
 
     __slots__ = _fields = ("p",)
     symmetric = True
@@ -350,15 +372,12 @@ class LpMetric(BaseMetric, _Frozen):
     def distance(self, x: Element, y: Element) -> float:
         px, py = _vector_pair(x, y)
         diffs = [abs(a - b) for a, b in zip(px, py)]
-        try:
-            total = sum(d ** self.p for d in diffs)
-        except OverflowError:
-            total = math.inf
         top = max(diffs, default=0.0)
-        if total in (0.0, math.inf) and 0.0 < top < math.inf:
-            # the powers underflow or overflow: factor out the largest difference
-            return top * sum((d / top) ** self.p for d in diffs) ** (1.0 / self.p)
-        return total ** (1.0 / self.p)
+        if top in (0.0, math.inf):
+            return top
+        # the largest difference factored out: the sum lies in [1, dim], so no
+        # power underflows or overflows and the root adds little error
+        return top * math.fsum((d / top) ** self.p for d in diffs) ** (1.0 / self.p)
 
 
 # The most ids a distance table accepts: at 1,000 ids the cell checks took
@@ -378,9 +397,13 @@ class MatrixMetric(BaseMetric):
     ``bool("false")`` is True. It then checks every cell, without numpy:
     finite cells, non-negativity, zero diagonal and symmetry, within
     ``TOLERANCE``, and no zero between distinct ids unless the table is
-    flagged ``pseudo`` (a pseudo-metric). The triangle inequality, n^3
+    flagged ``pseudo`` (a pseudo-metric). The tolerance is inclusive: a cell
+    is negative below -``TOLERANCE``, a diagonal cell nonzero and two mirrored
+    cells asymmetric beyond it, and a cell between distinct ids counts as a
+    zero up to ``TOLERANCE`` itself, so a table that is not ``pseudo`` needs
+    each such cell above it. The triangle inequality, n^3
     comparisons, is checked with numpy at the first read of a distance,
-    through ``distance`` or the block path, so a command that never reads
+    through ``distance`` or a batched form, so a command that never reads
     the table (``jaccard``, ``symdiff_cardinality``) never pays for it. A
     table that fails it raises ``ParameterError`` at every read. ``ids``,
     ``pseudo`` and ``symmetric``, which records whether symmetry holds
@@ -485,6 +508,15 @@ class MatrixMetric(BaseMetric):
         except KeyError as exc:
             raise UnknownIdError(f"id not in distance table: {exc.args[0]!r}") from None
 
+    def _exact_form(self, registry: "ElementRegistry", xs: Collection, ys: Collection) -> tuple | None:
+        """``operator.getitem``, the rows of ``xs`` and the columns of ``ys``;
+        None where an id is outside the table."""
+        index, rows = self._index, self._rows
+        try:
+            return operator.getitem, [rows[index[x]] for x in xs], [index[y] for y in ys]
+        except KeyError:
+            return None
+
     def _operand(self, registry: "ElementRegistry", ids: Collection) -> np.ndarray | None:
         import numpy as np
         try:
@@ -500,8 +532,8 @@ class MatrixMetric(BaseMetric):
 class _Memo(BaseMetric):
     """``m.distance`` of each ordered pair of ids, evaluated on the first read
     of the pair and kept. Only values are kept: a pair whose evaluation
-    raises raises again on its next read. It has no batched form, so a
-    distance read through it never loads numpy."""
+    raises raises again on its next read. It has no batched form, so every
+    pair is read through it one at a time."""
 
     def __init__(self, m: BaseMetric):
         self._m = m
@@ -517,12 +549,14 @@ class _Memo(BaseMetric):
 
 
 # ---------------------------------------------------------------------------
-# Cross-distance block
+# Batched cross distances
 # ---------------------------------------------------------------------------
 
-# Pairs from which a cross-distance matrix is computed as a numpy block rather
-# than by one ``distance`` call per pair. Measured on 3-d Euclidean sets and a
-# table (see README): below it the fixed cost of a block outweighs the saving.
+# Pairs from which cross distances are read through a batched form, as
+# Python rows or a numpy block, rather than by one ``distance`` call per pair.
+# Below it the fixed cost of the rows and of the scan's order outweighs the
+# saving (README, "Two evaluation paths"), and the verify suites' sets of at
+# most 8 members stay on the pair loop.
 _BLOCK_MIN_PAIRS = 256
 
 # Values per chunk of rows, or one whole row where a row holds more. The
@@ -531,11 +565,21 @@ _BLOCK_MIN_PAIRS = 256
 # far under 2**17 float64 values (1 MiB) and grow only linearly with a row.
 _TILE_VALUES = 2**12
 
-# a factor that covers the block's error twice over, see _max_min
-_NEAR = 1.0 + 2.0**-30
-
 # exact metric classes only: a subclass may redefine ``distance``
 _BATCHED = frozenset({EuclideanMetric, MatrixMetric})
+
+
+def _exact_rows(m: BaseMetric, registry: ElementRegistry, xs: Collection, ys: Collection) -> tuple | None:
+    """(d, us, vs) such that ``d(us[i], vs[j])`` is ``m.distance`` of the
+    i-th id of ``xs`` and the j-th of ``ys`` bit for bit (``_exact_form``).
+
+    None when xs × ys has fewer than ``_BLOCK_MIN_PAIRS`` pairs or the metric
+    has no such form for these ids: the caller then evaluates ``m.distance``
+    pair by pair, which also raises the errors.
+    """
+    if len(xs) * len(ys) < _BLOCK_MIN_PAIRS or type(m) not in _BATCHED:
+        return None
+    return m._exact_form(registry, xs, ys)
 
 
 def _cross_rows(
@@ -555,33 +599,6 @@ def _cross_rows(
         # operands of different dimensions stay on the scalar path too
         return None
     return _row_chunks(m._block, x, y)
-
-
-def _max_min(
-    m: BaseMetric, registry: ElementRegistry, xs: Sequence, ys: Sequence, rows: Iterator[np.ndarray]
-) -> float:
-    """max over x of min over y of ``m.distance(x, y)``, exactly, from the
-    rows of the block of (``xs``, ``ys``).
-
-    A block value is within relative 2**-32 of ``distance``. So the result
-    lies in a row whose block minimum comes within a factor 1 + 2**-30 of the
-    largest block minimum so far, and in a column whose value comes within
-    that factor of the row's minimum: only these pairs are evaluated again
-    with ``distance``.
-    """
-    import numpy as np
-    element = registry.element
-    best = ceiling = -math.inf
-    r0 = 0
-    for chunk in rows:
-        minima = chunk.min(axis=1)
-        ceiling = max(ceiling, minima.max())
-        for r in np.flatnonzero(minima * _NEAR >= ceiling).tolist():
-            x = element(xs[r0 + r])
-            near = np.flatnonzero(chunk[r] <= minima[r] * _NEAR).tolist()
-            best = max(best, min(m.distance(x, element(ys[c])) for c in near))
-        r0 += len(chunk)
-    return best
 
 
 def _row_chunks(block: Callable, x: Any, y: Any) -> Iterator[np.ndarray]:
@@ -646,10 +663,12 @@ def _quotient(terms: Callable[[], Iterable[float]], d: int) -> float:
 def _ground_terms(
     m: BaseMetric, registry: ElementRegistry, xs: Collection, ys: Collection
 ) -> Iterable[float]:
-    """d(x, y) over ``xs`` × ``ys``, from the block a chunk at a time if it is taken."""
-    rows = _cross_rows(m, registry, xs, ys)
-    if rows is not None:
-        return itertools.chain.from_iterable(c.ravel().tolist() for c in rows)
+    """d(x, y) over ``xs`` × ``ys``, a row at a time where ``_exact_rows`` is taken."""
+    form = _exact_rows(m, registry, xs, ys)
+    if form is not None:
+        d, us, vs = form
+        n = len(vs)
+        return itertools.chain.from_iterable(map(d, itertools.repeat(u, n), vs) for u in us)
     element = registry.element  # resolve each id once, not once per pair
     ey = [element(y) for y in ys]
     return (m.distance(x, y) for x in map(element, xs) for y in ey)
@@ -754,16 +773,21 @@ def semi_metric(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
 
 
 def hausdorff(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
-    """max of the two directed max-min distances."""
+    """max of the two directed max-min distances, exactly.
+
+    From ``_BLOCK_MIN_PAIRS`` pairs on, under a Euclidean or table metric,
+    one early-exit scan of the exact rows (``_largest_least``); otherwise one
+    pass over the pairs through ``distance``.
+    """
     _require_same_registry("hausdorff", a, b)
     _require_nonempty("hausdorff", a, b)
-    rows = _cross_rows(m, a.registry, a.members, b.members)
-    if rows is not None:
-        # the block of (b, a) as well, not the column minima of (a, b): a
-        # distance table may be asymmetric within its tolerance
-        rows_ba = _cross_rows(m, a.registry, b.members, a.members)
-        return max(_max_min(m, a.registry, a.members, b.members, rows),
-                   _max_min(m, a.registry, b.members, a.members, rows_ba))
+    forward = _exact_rows(m, a.registry, a.members, b.members)
+    backward = forward and _exact_rows(m, a.registry, b.members, a.members)
+    if backward:
+        # the scan of (b, a) as well, not the columns of (a, b): a distance
+        # table may be asymmetric within its tolerance
+        return _largest_least(b.members, a.members, backward,
+                              _largest_least(a.members, b.members, forward, -math.inf))
     # one pass: the row minima give d(A, B) and the column minima d(B, A),
     # whose column is the row itself where d(y, x) is d(x, y)
     eb = b.elements()
@@ -774,6 +798,38 @@ def hausdorff(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
         row_minima.append(min(row))
         column_minima = column if column_minima is None else list(map(min, column_minima, column))
     return max(max(row_minima), max(column_minima))
+
+
+def _largest_least(xs: Sequence, ys: Sequence, form: tuple, best: float) -> float:
+    """max(best, max over x in ``xs`` of min over y in ``ys`` of d(x, y)),
+    exactly, from the rows ``form`` = (d, us, vs) of ``_exact_rows``.
+
+    The early-exit scan of Taha and Hanbury (IEEE TPAMI 37(11), 2015): a row
+    stops at its first distance not above ``best``, the largest minimum so
+    far, which its own minimum then cannot pass, and keeps no matrix. Rows
+    and columns are visited in one fixed pseudo-random order, so that ids
+    sorted by distance cannot defeat the exit. A member of both operands
+    reads d(x, x) first: where that is 0 and ``best`` is not below 0, its row
+    is skipped after one distance.
+    """
+    d, us, vs = form
+    own = map(dict(zip(ys, vs)).get, xs)
+    rng = random.Random(0)
+    rows = rng.sample(list(zip(us, own)), len(us))
+    vs = rng.sample(vs, len(vs))
+    n = len(vs)
+    for u, v0 in rows:
+        if v0 is not None and d(u, v0) <= best:
+            continue
+        least = math.inf
+        for v in map(d, itertools.repeat(u, n), vs):
+            if v <= best:
+                break
+            if v < least:
+                least = v
+        else:
+            best = least
+    return best
 
 
 def jaccard(a: FiniteSet, b: FiniteSet) -> float:

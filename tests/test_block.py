@@ -1,16 +1,20 @@
-"""The numpy cross-distance block against a pure-Python reference.
+"""The batched cross distances against a pure-Python reference.
 
 From ``core._BLOCK_MIN_PAIRS`` pairs on, the finite-set distances under a
-Euclidean or table metric read their cross distances from a numpy block
-instead of calling ``distance`` per pair; the L_p and discrete metrics stay on
-the pair-by-pair path and are checked here too.
+Euclidean or table metric read their cross distances in batches instead of
+calling ``distance`` per pair: the sums and ``hausdorff`` as exact Python
+rows (``core._exact_rows``), the row-wise means of ``power_means`` from a
+numpy block (``core._cross_rows``). The L_p and discrete metrics stay on the
+pair-by-pair path and are checked here too.
 The reference below calls ``distance`` per pair and follows each definition
 directly. Tolerances, fixed before the block was written: minima and maxima
-exact, sums 1e-13 relative, means 1e-12 relative.
+exact, sums 1e-13 relative, means 1e-12 relative; the rows are held to the
+pair-by-pair pass bit for bit.
 """
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,6 +190,66 @@ class TestAgainstReference:
         assert math.isclose(got, ref_sidewise(m, a, b, k, i, j, r, p, q), rel_tol=MEAN_REL)
 
 
+# ---------------------------------------------------------------------------
+# The exact rows and the early-exit scan against the pair-by-pair pass
+# ---------------------------------------------------------------------------
+
+# magnitudes from 1e-300 to 1e300, which the numpy block refused, and ordinary ones
+WIDE = st.one_of(st.sampled_from([0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0]),
+                 st.floats(-1e300, 1e300), st.floats(-1000, 1000))
+
+
+@st.composite
+def exact_cases(draw):
+    """A Euclidean metric over 50 points, two ids sharing one payload, or an
+    asymmetric pseudo table over 50 ids, with two operands of 16 to 40 ids."""
+    n = 50
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 4))
+        points = draw(st.lists(st.tuples(*[WIDE] * dim), min_size=n, max_size=n))
+        points[1] = points[0]
+        registry, m = ElementRegistry(dict(enumerate(points))), EuclideanMetric()
+    else:
+        # L1 distances on a coarse grid, with ties and zeros, and d(x, y)
+        # above d(y, x) by 4e-13, inside the tolerance, for x before y
+        grid = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                             min_size=n, max_size=n))
+        values = [[abs(x1 - x2) / 8 + abs(y1 - y2) / 8 + (4e-13 if i < j else 0.0)
+                   for j, (x2, y2) in enumerate(grid)] for i, (x1, y1) in enumerate(grid)]
+        registry = ElementRegistry(dict.fromkeys(range(n)))
+        m = MatrixMetric(list(range(n)), values, pseudo=True)
+    ids = st.lists(st.integers(0, n - 1), min_size=16, max_size=40, unique=True)
+    return m, registry.set_of(draw(ids)), registry.set_of(draw(ids))
+
+
+def assert_rows_equal_the_pair_loop(m, a, b):
+    assert core._exact_rows(m, a.registry, a.members, b.members) is not None
+    for fn in (pair_sum, group_average, average_metric, semi_metric, hausdorff):
+        got = fn(m, a, b)
+        with mock.patch.object(core, "_BLOCK_MIN_PAIRS", math.inf):
+            expected = fn(m, a, b)
+        assert got.hex() == expected.hex(), fn.__name__
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=exact_cases())
+def test_exact_rows_equal_the_pair_by_pair_pass_bit_for_bit(case):
+    assert_rows_equal_the_pair_loop(*case)
+
+
+def test_exact_rows_near_the_largest_float():
+    # distances from 1.3e308 up, and past the largest float, where math.dist
+    # returns inf: the sums overflow and Hausdorff's minima pass 1e308
+    points = {k: (1.2e308 - k * 1e303,) for k in range(20)}
+    points.update({20 + k: (-1e307 - k * 1e303,) for k in range(20)})
+    points.update({40 + k: (-1.7e308 + k * 1e303,) for k in range(20)})
+    registry, m = ElementRegistry(points), EuclideanMetric()
+    a, b, c = (registry.set_of(range(k, k + 20)) for k in (0, 20, 40))
+    assert math.isinf(hausdorff(m, a, c))
+    for x, y in ((a, b), (b, a), (a, c), (a.union(b), b.union(c))):
+        assert_rows_equal_the_pair_loop(m, x, y)
+
+
 # values a block row can hold: zeros, ties, and distances far enough apart
 # that their ratio underflows or overflows
 ROW_VALUES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e300]),
@@ -248,12 +312,13 @@ def test_large_operands_take_the_block_and_small_ones_do_not():
     registry = ElementRegistry({i: (float(i), float(i % 7)) for i in range(80)})
     table = [[abs(i - j) for j in range(80)] for i in range(80)]
     big, small = registry.set_of(range(40)), registry.set_of(range(8))
-    for m in (EuclideanMetric(), MatrixMetric(range(80), table)):
-        assert core._cross_rows(m, registry, big.members, big.members) is not None
-        # the verify suites' operands have at most 8 members: they stay scalar
-        assert core._cross_rows(m, registry, small.members, small.members) is None
-    for m in (LpMetric(3.0), DiscreteMetric()):
-        assert core._cross_rows(m, registry, big.members, big.members) is None
+    for batched in (core._exact_rows, core._cross_rows):
+        for m in (EuclideanMetric(), MatrixMetric(range(80), table)):
+            assert batched(m, registry, big.members, big.members) is not None
+            # the verify suites' operands have at most 8 members: they stay scalar
+            assert batched(m, registry, small.members, small.members) is None
+        for m in (LpMetric(3.0), DiscreteMetric()):
+            assert batched(m, registry, big.members, big.members) is None
 
 
 @pytest.mark.parametrize("size", [8, 40], ids=["scalar", "block"])
@@ -282,6 +347,7 @@ def test_subclass_with_own_distance_stays_scalar():
     registry = ElementRegistry({i: (float(i),) for i in range(60)})
     a, b = registry.set_of(range(30)), registry.set_of(range(20, 60))
     assert core._cross_rows(Doubled(), registry, a.members, b.members) is None
+    assert core._exact_rows(Doubled(), registry, a.members, b.members) is None
     assert pair_sum(Doubled(), a, b) == 2.0 * pair_sum(EuclideanMetric(), a, b)
 
 
@@ -312,7 +378,7 @@ def test_euclidean_block_is_within_a_few_ulps_of_distance(data, dim):
 
 
 @pytest.mark.parametrize("coordinate", [1e200, 1e-200, math.inf])
-def test_payloads_outside_the_range_stay_scalar(coordinate):
+def test_payloads_outside_the_block_range_keep_the_exact_rows(coordinate):
     points = {i: (float(i), coordinate if i % 2 else 0.0) for i in range(40)}
     if coordinate == math.inf:
         # ElementRegistry.add rejects it: its distances were inf - inf, nan
@@ -321,8 +387,11 @@ def test_payloads_outside_the_range_stay_scalar(coordinate):
         return
     registry = ElementRegistry(points)
     a = registry.universe()
-    assert core._cross_rows(EuclideanMetric(), registry, a.members, a.members) is None
-    assert pair_sum(EuclideanMetric(), a, a) == ref_sum(EuclideanMetric(), registry, a, a)
+    m = EuclideanMetric()
+    # the block refuses the magnitude, math.dist takes it
+    assert core._cross_rows(m, registry, a.members, a.members) is None
+    assert core._exact_rows(m, registry, a.members, a.members) is not None
+    assert pair_sum(m, a, a) == ref_sum(m, registry, a, a)
 
 
 @pytest.mark.parametrize("stray", [None, (1.0, 2.0), (1e200, 0.0, 0.0)], ids=["none", "2-d", "1e200"])
@@ -364,7 +433,8 @@ def test_hausdorff_is_exact_where_the_block_is_not():
 def test_hausdorff_is_exact_on_near_ties():
     # points on a sphere of radius 0.7 around c: every distance is 0.7 to
     # within a few ulps; at this seed the block's smallest and largest values
-    # are not where the exact smallest and largest distances are
+    # are not where the exact smallest and largest distances are, and the
+    # scan's rows are math.dist itself
     c = (0.1, 0.2, 0.3)
     u = np.random.default_rng(42).standard_normal((300, 3))
     u /= np.linalg.norm(u, axis=1)[:, None]
@@ -376,8 +446,23 @@ def test_hausdorff_is_exact_on_near_ties():
     assert d[block == block.min()].min() != d.min()
     assert d[block == block.max()].max() != d.max()
     for xs, ys, expected in [((0,), sphere.members, d.min()), (sphere.members, (0,), d.max())]:
-        assert core._max_min(m, registry, xs, ys, core._cross_rows(m, registry, xs, ys)) == expected
+        form = core._exact_rows(m, registry, xs, ys)
+        assert core._largest_least(xs, ys, form, -math.inf) == expected
     assert hausdorff(m, center, sphere) == ref_hausdorff(m, center, sphere)
+
+
+def test_hausdorff_on_a_ray_sorted_by_distance():
+    # ids in order of distance along a ray: scanned in id order, the k-th
+    # member of B would read k members of A before its row could stop (126,249
+    # distances in all, against 6,630 in the scan's pseudo-random order)
+    registry = ElementRegistry({k: (float(k), 0.0, 0.0) for k in range(1000)})
+    m = EuclideanMetric()
+    a, b = registry.set_of(range(500)), registry.set_of(range(500, 1000))
+    assert hausdorff(m, a, b) == hausdorff(m, b, a) == 500.0
+    # sharing half: 0 and 999 are each 250 from the other set
+    a, b = registry.set_of(range(750)), registry.set_of(range(250, 1000))
+    assert hausdorff(m, a, b) == 250.0
+    assert hausdorff(m, a, a) == 0.0
 
 
 def test_block_sums_are_symmetric():

@@ -191,6 +191,8 @@ def test_malformed_workspace_exits_2(tmp_path, doc, argv):
 
 TABLE_ELEMENTS = {"elements": {"a": None, "b": None}, "sets": {"A": ["a"], "B": ["b"]}}
 EMPTY_POPULATIONS = {"elements": {"a": None}, "sets": {"Z": []}, "intervals": {"E": []}}
+EMPTY_OPERANDS = {"elements": {"a": None}, "sets": {"Z": [], "A": ["a"]},
+                  "intervals": {"E": [], "I": [[0, 1]]}}
 DIST_F = ["dist", "--workspace", "{ws}", "--family", "f", "A", "B"]
 
 
@@ -228,9 +230,15 @@ DIST_F = ["dist", "--workspace", "{ws}", "--family", "f", "A", "B"]
     # raised a ParameterError, and exited 2
     (EMPTY_POPULATIONS, ["estimate", "--workspace", "{ws}", "Z", "Z", "--population", "Z"],
      3, "domain error: finite sampling population is empty"),
+    # "sample missed a set entirely (|S∩A|=0, |S∩B|=1); increase n or fix the population"
+    (EMPTY_OPERANDS, ["estimate", "--workspace", "{ws}", "Z", "A", "--population", "A"],
+     3, "domain error: estimate_average_metric requires non-empty sets"),
+    (EMPTY_OPERANDS, ["estimate", "--workspace", "{ws}", "E", "I", "--population", "I"],
+     3, "domain error: estimate_average_metric requires non-empty sets"),
 ], ids=["missing-file", "invalid-json", "bogus-kind", "no-values", "duplicate-ids", "not-square",
         "fuzzy-not-object", "fuzzy-unknown-id", "alpha-grid-x", "alpha-grid-2", "alpha-grid-comma",
-        "empty-nested", "sizes-a-b", "empty-interval-population", "empty-finite-population"])
+        "empty-nested", "sizes-a-b", "empty-interval-population", "empty-finite-population",
+        "empty-finite-operand", "empty-interval-operand"])
 def test_refusals_exit_cleanly(tmp_path, doc, argv, code, message):
     path = tmp_path / "workspace.json"
     if doc is not None:

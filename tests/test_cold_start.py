@@ -1,4 +1,5 @@
-"""Cold start: commands on small operands run without importing numpy, a
+"""Cold start: commands run without importing numpy, but for a table's
+triangle check and the row-wise means of `u` and `v` from 256 pairs on; a
 command imports only the modules of the package it runs, and the CLI imports
 no process pool until a `verify` of several suites.
 
@@ -29,11 +30,19 @@ SMALL = {
     "intervals": {"I": [[0, 1]], "J": [[0.5, 2]], "K": [[0.25, 0.75]]},
 }
 
-# two disjoint sets of 16 points: 256 cross pairs, the first block size
+# two disjoint sets of 16 points: 256 cross pairs, the first batched size
 LARGE = {
     "metric": {"kind": "euclidean"},
     "elements": {f"p{k}": [float(k), float(k % 5)] for k in range(32)},
     "sets": {"A": [f"p{k}" for k in range(16)], "B": [f"p{k}" for k in range(16, 32)]},
+}
+
+# the same two sets of 16 ids over a table of the distances of 32 points of a line
+LARGE_TABLE = {
+    "metric": {"kind": "matrix", "ids": [f"p{k}" for k in range(32)],
+               "values": [[abs(x - y) for y in range(32)] for x in range(32)]},
+    "elements": dict.fromkeys(LARGE["elements"]),
+    "sets": LARGE["sets"],
 }
 
 # the distances of the points 0, 1, 3 and 7 of a line, a valid table
@@ -86,8 +95,9 @@ def cli_run(argv: list[str]) -> str:
 @pytest.fixture(scope="module")
 def workspaces(tmp_path_factory):
     paths = {}
-    for name, doc in (("small", SMALL), ("large", LARGE), ("table", TABLE), ("fuzzy", FUZZY),
-                      ("at_bound", AT_BOUND), ("above_bound", ABOVE_BOUND)):
+    for name, doc in (("small", SMALL), ("large", LARGE), ("large_table", LARGE_TABLE),
+                      ("table", TABLE), ("fuzzy", FUZZY), ("at_bound", AT_BOUND),
+                      ("above_bound", ABOVE_BOUND)):
         path = tmp_path_factory.mktemp("ws") / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
@@ -139,10 +149,21 @@ def test_verify_suites_do_not_load_numpy(suite):
     assert not module_loaded(cli_run(["verify", "--suite", suite]))
 
 
-def test_block_sized_operands_load_numpy(workspaces):
-    # the block path is still taken from 256 pairs on
-    argv = ["dist", "--workspace", workspaces["large"], "--family", "f", "A", "B"]
-    assert module_loaded(cli_run(argv))
+# from 256 pairs on, sums and Hausdorff read exact Python rows; the row-wise
+# means of u still take the numpy block, and a table its triangle check
+@pytest.mark.parametrize("workspace, family, operands, loaded", [
+    ("large", "f", ["A", "B"], False),
+    ("large", "g", ["A", "B"], False),
+    ("large", "e", ["A", "B"], False),
+    ("large", "h", ["A", "B"], False),
+    ("large", "fk", ["A,B", "B,"], False),
+    ("large", "u", ["A", "B"], True),
+    ("large_table", "f", ["A", "B"], True),
+], ids=["f", "g", "e", "h", "fk", "u", "table-f"])
+def test_batched_operands_load_numpy_only_for_means_and_tables(workspaces, workspace, family,
+                                                                operands, loaded):
+    argv = ["dist", "--workspace", workspaces[workspace], "--family", family, *operands]
+    assert module_loaded(cli_run(argv)) is loaded
 
 
 @pytest.mark.parametrize("module", [
@@ -169,13 +190,17 @@ def test_small_fuzzy_sets_do_not_load_numpy(workspaces):
     assert not module_loaded(cli_run(argv))
 
 
-def test_fuzzy_pairs_above_the_memo_bound_load_numpy(workspaces):
-    # the choice follows the count of member pairs, on either side of the bound
-    def argv(name):
-        return ["dist", "--workspace", workspaces[name], "--family", "fuzzy", "A", "B"]
-
-    assert not module_loaded(cli_run(argv("at_bound")))
-    assert module_loaded(cli_run(argv("above_bound")))
+@pytest.mark.parametrize("name, memo", [("at_bound", True), ("above_bound", False)])
+def test_fuzzy_sets_on_either_side_of_the_memo_bound_load_no_numpy(workspaces, name, memo):
+    # the memo is chosen by the count of member pairs; above the bound the
+    # cut distances read exact rows, which need no numpy either
+    spy = (f"import setmetric.continuous as c\nmemo = c._Memo\n"
+           f"c._Memo = lambda m: (print('memo'), memo(m))[1]\n")
+    argv = ["dist", "--workspace", workspaces[name], "--family", "fuzzy", "A", "B"]
+    assert not module_loaded(spy + cli_run(argv))
+    result = subprocess.run([sys.executable, "-c", spy + cli_run(argv)],
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+    assert (result.stdout.splitlines()[0] == "memo") is memo
 
 
 def test_bare_import_loads_no_module_of_the_package():

@@ -22,6 +22,7 @@ from setmetric import (
     DiscreteMetric,
     DomainError,
     ElementRegistry,
+    EmptySetError,
     EuclideanMetric,
     FuzzySet,
     Interval,
@@ -555,6 +556,19 @@ class TestEstimation:
         plan = SamplePlan(*MISSES_5_6)
         with pytest.raises(SamplingError):
             estimate_average_metric(a, b, plan)
+
+    # "sample missed a set entirely ...; increase n", which no n could do
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_empty_operand_raises_before_any_draw(self, empty_first, line_registry, euclid,
+                                                  monkeypatch):
+        monkeypatch.setattr("numpy.random.default_rng", None)  # a draw would fail otherwise
+        for full, empty, population in ((line_registry.set_of([0, 1]), line_registry.set_of([]),
+                                         line_registry.universe()),
+                                        (U((0, 1)), U(), U((0, 2)))):
+            a, b = (empty, full) if empty_first else (full, empty)
+            with pytest.raises(EmptySetError,
+                               match="^estimate_average_metric requires non-empty sets$"):
+                estimate_average_metric(a, b, SamplePlan(population, n=10**6, seed=0), metric=euclid)
 
     def test_seeded_convergence(self):
         a, b, p = U((0, 1)), U((0.5, 1.5)), U((0, 1.5))
