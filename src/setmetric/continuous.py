@@ -24,8 +24,7 @@ continuous populations: sample a superset, intersect the sample with each
 set, and evaluate the finite-set metric on the intersections. numpy is
 imported only by membership masks and sampling, so the interval distances
 never load it. ``fuzzy_distance`` does not load it over points: its cut
-distances are ``core``'s, read through a memo for sets of at most
-``_MEMO_MAX_PAIRS`` pairs of members and as exact Python rows above.
+distances are ``core``'s, read as exact Python rows.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .core import (
     FiniteSet,
     _Frozen,
     _id_sort_key,
-    _Memo,
     _require_integer,
     _set_average,
     average_metric,
@@ -402,13 +400,14 @@ def _average_metric_1d(xs: np.ndarray, ys: np.ndarray) -> float:
     return value * unit
 
 
-def _sample_sides(a: Membership, b: Membership, plan: SamplePlan, nonempty: bool = False) -> tuple:
+def _sample_sides(a: Membership, b: Membership, plan: SamplePlan,
+                  nonempty: tuple = (), refusal: str = "") -> tuple:
     """The plan's sample intersected with A and with B: arrays of sorted
     unique points for an interval population, id sets for a finite one.
     Before any draw, in this order: the operands must be of the population's
-    kind and lie in it, the population must not be empty, and where
-    ``nonempty`` is set neither may the operands, as no sample count could
-    then meet them."""
+    kind and lie in it, the population must not be empty, and neither may
+    an operand in ``nonempty``, as no sample count could then meet it; that
+    is an ``EmptySetError`` with the message ``refusal``."""
     import numpy as np
     population = plan.population
     kind = IntervalUnion if isinstance(population, IntervalUnion) else FiniteSet
@@ -431,8 +430,8 @@ def _sample_sides(a: Membership, b: Membership, plan: SamplePlan, nonempty: bool
                                  f"(ids outside it: {outside})")
         if not population.members:
             raise EmptySetError("finite sampling population is empty")
-    if nonempty and not all(s.parts if kind is IntervalUnion else s.members for s in (a, b)):
-        raise EmptySetError("estimate_average_metric requires non-empty sets")
+    if not all(s.parts if kind is IntervalUnion else s.members for s in nonempty):
+        raise EmptySetError(refusal)
     if kind is IntervalUnion:
         points = _sample_interval_points(population, plan)
         return points[a._inside(points)], points[b._inside(points)]
@@ -460,7 +459,8 @@ def estimate_average_metric(
     finite = not isinstance(plan.population, IntervalUnion)
     if finite and metric is None:
         raise ParameterError("finite-population estimation needs a ground metric")
-    sample_a, sample_b = _sample_sides(a, b, plan, nonempty=True)
+    sample_a, sample_b = _sample_sides(a, b, plan, (a, b),
+                                       "estimate_average_metric requires non-empty sets")
     if not len(sample_a) or not len(sample_b):
         raise SamplingError(
             f"sample missed a set entirely (|S∩A|={len(sample_a)}, "
@@ -477,8 +477,11 @@ def estimate_average_metric(
 def sample_count_ratio(a: Membership, b: Membership, plan: SamplePlan) -> float:
     """|S∩A| / |S∩B| for the plan's sample: the finite-sample stand-in for a
     relative measure of A against B, over a population that covers both.
-    Zero numerator gives 0; an empty denominator sample is an error."""
-    sample_a, sample_b = _sample_sides(a, b, plan)
+    Zero numerator gives 0. An empty denominator is an ``EmptySetError``
+    before any draw, and a denominator that the sample misses a
+    ``SamplingError``."""
+    sample_a, sample_b = _sample_sides(a, b, plan, (b,),
+                                       "sample_count_ratio requires a non-empty denominator")
     if not len(sample_b):
         raise SamplingError("denominator set missed by the sample")
     return len(sample_a) / len(sample_b)
@@ -487,18 +490,6 @@ def sample_count_ratio(a: Membership, b: Membership, plan: SamplePlan) -> float:
 # ---------------------------------------------------------------------------
 # Fuzzy sets
 # ---------------------------------------------------------------------------
-
-# The most pairs of members, |A|·|B|, for which fuzzy_distance reads the
-# ground metric through a memo rather than ``core``'s exact rows; neither
-# loads numpy. Warm, on three sets of n 3-d points, each sharing two thirds
-# of its points with the next, the three distances of the matrix took, with
-# the memo against the rows (two series, each the medians of 30 runs over 5
-# seeds, 2-vCPU VM): n = 30, 26.7 against 31.4 and 27.3 against 27.6 ms;
-# 33, 27.8 against 27.1 and 33.6 against 39.4; 36, 34.1 against 31.7 and 48.9
-# against 48.4; 40, 40.4 against 33.9 and 67.3 against 59.9; 50, 52 against
-# 40; 100, 203 against 113.
-_MEMO_MAX_PAIRS = 36 * 36
-
 
 class FuzzySet(_Frozen):
     """Membership function over a finite universe of element ids."""
@@ -541,12 +532,9 @@ def fuzzy_distance(
 
     (one admissible combination: a sum of metrics is a metric), and the
     level-2 average-distance construction is applied to the two collections
-    of pairs. Equal fuzzy sets give 0.
-
-    The cuts share their pairs of members, so where |A|·|B| (members with
-    any grade) is at most ``_MEMO_MAX_PAIRS``, each ground distance is
-    evaluated once, through ``core._Memo``. Larger sets read ``m`` itself,
-    whose cut distances take ``core``'s exact rows from 256 pairs on.
+    of pairs. Equal fuzzy sets give 0. Each distinct pair of cuts is
+    evaluated once, through ``core.average_metric``, whose cross distances
+    under a Euclidean or table metric are exact Python rows.
     """
     if not 0 <= alpha_weight < math.inf:  # NaN too
         raise ParameterError(f"alpha weight must be finite and non-negative, got {alpha_weight}")
@@ -566,11 +554,10 @@ def fuzzy_distance(
         raise DomainError("no alpha level leaves both cuts non-empty")
     coll_a = frozenset(pairs_a)
     coll_b = frozenset(pairs_b)
-    ground = _Memo(m) if len(a.membership) * len(b.membership) <= _MEMO_MAX_PAIRS else m
 
     @functools.cache
     def cut_distance(s: frozenset, t: frozenset) -> float:
-        return average_metric(ground, registry.set_of(s), registry.set_of(t))
+        return average_metric(m, registry.set_of(s), registry.set_of(t))
 
     def pair_distance(p: tuple[frozenset, float], q: tuple[frozenset, float]) -> float:
         (s, alpha), (t, beta) = p, q

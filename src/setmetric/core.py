@@ -22,20 +22,20 @@ The construction behind ``average_metric`` is written once, in
 it with their own inner distance.
 
 Every finite-set distance above reads the cross distances d(x, y) of two
-operands. Small operands are evaluated pair by pair through ``distance``;
-from ``_BLOCK_MIN_PAIRS`` pairs on, under a Euclidean or table metric,
-``_exact_rows`` reads them as Python rows, ``math.dist`` over the payloads or
-a table row indexed by its columns, which is what ``distance`` returns bit
-for bit. Sums stream these rows into ``math.fsum``; ``hausdorff`` takes one
-early-exit scan over them. Every average of floats, here and in the other
-modules, is one ``_quotient`` of a sum, finite wherever its exact value is.
+operands through one reader, ``_rows``, at every size: under a Euclidean or
+table metric as Python rows, ``math.dist`` over the payloads or a table row
+indexed by its columns, which is what ``distance`` returns bit for bit;
+otherwise ``distance`` itself, pair by pair. Sums stream these rows into
+``math.fsum``; from ``_BLOCK_MIN_PAIRS`` pairs on, ``hausdorff`` takes one
+early-exit scan over exact rows. Every average of floats, here and in the
+other modules, is one ``_quotient`` of a sum, finite wherever its exact
+value is.
 
 numpy is imported inside the functions that use it: the triangle check of a
 ``MatrixMetric``, at the first read of one of its distances, and the block
 of ``_cross_rows``, which only the row-wise means of ``power_means`` read.
 Nothing else in this module loads it: not the sums or ``hausdorff`` over
-points, not ``_Memo``, nor building a table, whose cells are checked in
-Python.
+points, nor building a table, whose cells are checked in Python.
 """
 
 from __future__ import annotations
@@ -142,6 +142,9 @@ class ElementRegistry:
 
     def __init__(self, elements: Mapping[ElementId, Any] | None = None):
         self._elements: dict[ElementId, Element] = {}
+        # the length of every payload so far, while each is a coordinate
+        # tuple of one length; 0 once one is not (``EuclideanMetric``)
+        self._dim: int | None = None
         if elements:
             for eid, payload in elements.items():
                 self.add(eid, payload)
@@ -157,6 +160,9 @@ class ElementRegistry:
             payload = (float(payload),)
         if isinstance(payload, tuple) and not all(map(math.isfinite, payload)):
             raise ParameterError(f"non-finite coordinate in the payload of {eid!r}")
+        dim = len(payload) if isinstance(payload, tuple) else 0
+        if dim != self._dim:
+            self._dim = dim if self._dim is None else 0
         element = Element(eid, payload)
         self._elements[eid] = element
         return element
@@ -250,10 +256,10 @@ class BaseMetric:
     other metrics, subclasses included, take the scalar path. Each form
     returns None to keep its ids on the scalar path, which names a bad pair.
 
-    * ``_exact_form(registry, xs, ys)``, for ``_exact_rows``: a function d
-      and two lists us, vs such that ``d(us[i], vs[j])`` is
-      ``distance(x_i, y_j)`` bit for bit. The sums and ``hausdorff`` read it,
-      and it loads no numpy of its own.
+    * ``_exact_form(registry, xs, ys)``, for ``_rows``, on non-empty
+      operands: a function d and two lists us, vs such that
+      ``d(us[i], vs[j])`` is ``distance(x_i, y_j)`` bit for bit. Every sum
+      and minimum reads it, and it loads no numpy of its own.
     * ``_operand(registry, ids)`` and ``_block(x, y)``, for ``_cross_rows``:
       the float64 matrix d(x_i, y_j) in numpy, each value within relative
       2**-32 of ``distance``. Only the row-wise means of ``power_means``
@@ -316,12 +322,13 @@ class EuclideanMetric(BaseMetric, _Frozen):
     def _exact_form(self, registry: "ElementRegistry", xs: Collection, ys: Collection) -> tuple | None:
         """``math.dist`` and the payloads of ``xs`` and ``ys``, where every one
         is a tuple of one common length, as ``distance`` then needs; None
-        otherwise."""
-        element = registry.element
-        px = [element(x).payload for x in xs]
-        py = [element(y).payload for y in ys]
+        otherwise. Only a registry whose payloads are not all such tuples
+        has the operands' payloads checked."""
+        elements = registry._elements
+        px = [elements[x].payload for x in xs]
+        py = [elements[y].payload for y in ys]
         dim = len(px[0]) if isinstance(px[0], tuple) else -1
-        if all(isinstance(p, tuple) and len(p) == dim for p in itertools.chain(px, py)):
+        if registry._dim or all(isinstance(p, tuple) and len(p) == dim for p in itertools.chain(px, py)):
             return math.dist, px, py
         return None
 
@@ -529,34 +536,14 @@ class MatrixMetric(BaseMetric):
         return self._table[np.ix_(x, y)]
 
 
-class _Memo(BaseMetric):
-    """``m.distance`` of each ordered pair of ids, evaluated on the first read
-    of the pair and kept. Only values are kept: a pair whose evaluation
-    raises raises again on its next read. It has no batched form, so every
-    pair is read through it one at a time."""
-
-    def __init__(self, m: BaseMetric):
-        self._m = m
-        self._values: dict[tuple[ElementId, ElementId], float] = {}
-
-    def distance(self, x: Element, y: Element) -> float:
-        key = (x.id, y.id)
-        try:
-            return self._values[key]
-        except KeyError:
-            value = self._values[key] = self._m.distance(x, y)
-            return value
-
-
 # ---------------------------------------------------------------------------
 # Batched cross distances
 # ---------------------------------------------------------------------------
 
-# Pairs from which cross distances are read through a batched form, as
-# Python rows or a numpy block, rather than by one ``distance`` call per pair.
-# Below it the fixed cost of the rows and of the scan's order outweighs the
-# saving (README, "Two evaluation paths"), and the verify suites' sets of at
-# most 8 members stay on the pair loop.
+# Pairs from which ``hausdorff`` takes its early-exit scan and the row-wise
+# means of ``power_means`` a numpy block. Below it their fixed costs (the
+# scan's order, numpy's import and the block) outweigh the saving (README,
+# "Two evaluation paths").
 _BLOCK_MIN_PAIRS = 256
 
 # Values per chunk of rows, or one whole row where a row holds more. The
@@ -569,17 +556,19 @@ _TILE_VALUES = 2**12
 _BATCHED = frozenset({EuclideanMetric, MatrixMetric})
 
 
-def _exact_rows(m: BaseMetric, registry: ElementRegistry, xs: Collection, ys: Collection) -> tuple | None:
+def _rows(m: BaseMetric, registry: ElementRegistry, xs: Collection, ys: Collection) -> tuple:
     """(d, us, vs) such that ``d(us[i], vs[j])`` is ``m.distance`` of the
-    i-th id of ``xs`` and the j-th of ``ys`` bit for bit (``_exact_form``).
-
-    None when xs × ys has fewer than ``_BLOCK_MIN_PAIRS`` pairs or the metric
-    has no such form for these ids: the caller then evaluates ``m.distance``
-    pair by pair, which also raises the errors.
+    i-th id of ``xs`` and the j-th of ``ys`` bit for bit: the metric's
+    ``_exact_form`` where it has one for these ids, otherwise
+    ``m.distance`` and the elements themselves, whose calls raise the
+    errors. An empty operand reads no distance, so no table is checked.
     """
-    if len(xs) * len(ys) < _BLOCK_MIN_PAIRS or type(m) not in _BATCHED:
-        return None
-    return m._exact_form(registry, xs, ys)
+    if xs and ys and type(m) in _BATCHED:
+        form = m._exact_form(registry, xs, ys)
+        if form is not None:
+            return form
+    element = registry.element
+    return m.distance, [element(x) for x in xs], [element(y) for y in ys]
 
 
 def _cross_rows(
@@ -642,8 +631,7 @@ def min_cross_distance(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     """min over all cross pairs; zero as soon as the sets share an id."""
     _require_same_registry("min_cross_distance", a, b)
     _require_nonempty("min_cross_distance", a, b)
-    eb = b.elements()
-    return min(m.distance(x, y) for x in a.elements() for y in eb)
+    return min(_ground_terms(m, a.registry, a.members, b.members))
 
 
 def _quotient(terms: Callable[[], Iterable[float]], d: int) -> float:
@@ -663,15 +651,10 @@ def _quotient(terms: Callable[[], Iterable[float]], d: int) -> float:
 def _ground_terms(
     m: BaseMetric, registry: ElementRegistry, xs: Collection, ys: Collection
 ) -> Iterable[float]:
-    """d(x, y) over ``xs`` × ``ys``, a row at a time where ``_exact_rows`` is taken."""
-    form = _exact_rows(m, registry, xs, ys)
-    if form is not None:
-        d, us, vs = form
-        n = len(vs)
-        return itertools.chain.from_iterable(map(d, itertools.repeat(u, n), vs) for u in us)
-    element = registry.element  # resolve each id once, not once per pair
-    ey = [element(y) for y in ys]
-    return (m.distance(x, y) for x in map(element, xs) for y in ey)
+    """d(x, y) over ``xs`` × ``ys``, a row of ``_rows`` at a time."""
+    d, us, vs = _rows(m, registry, xs, ys)
+    n = len(vs)
+    return itertools.chain.from_iterable(map(d, itertools.repeat(u, n), vs) for u in us)
 
 
 def pair_sum(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
@@ -775,26 +758,30 @@ def semi_metric(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
 def hausdorff(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
     """max of the two directed max-min distances, exactly.
 
-    From ``_BLOCK_MIN_PAIRS`` pairs on, under a Euclidean or table metric,
-    one early-exit scan of the exact rows (``_largest_least``); otherwise one
-    pass over the pairs through ``distance``.
+    From ``_BLOCK_MIN_PAIRS`` pairs on, where ``_rows`` are exact rather
+    than ``distance``, one early-exit scan of them (``_largest_least``);
+    otherwise one pass over every pair.
     """
     _require_same_registry("hausdorff", a, b)
     _require_nonempty("hausdorff", a, b)
-    forward = _exact_rows(m, a.registry, a.members, b.members)
-    backward = forward and _exact_rows(m, a.registry, b.members, a.members)
-    if backward:
+    registry = a.registry
+    forward = _rows(m, registry, a.members, b.members)
+    if len(a) * len(b) >= _BLOCK_MIN_PAIRS and forward[0] != m.distance:
         # the scan of (b, a) as well, not the columns of (a, b): a distance
         # table may be asymmetric within its tolerance
+        backward = _rows(m, registry, b.members, a.members)
         return _largest_least(b.members, a.members, backward,
                               _largest_least(a.members, b.members, forward, -math.inf))
     # one pass: the row minima give d(A, B) and the column minima d(B, A),
-    # whose column is the row itself where d(y, x) is d(x, y)
-    eb = b.elements()
+    # whose column is the row itself where d(y, x) is d(x, y), and otherwise
+    # a column of the (b, a) rows
+    d, us, vs = forward
+    e, ws, zs = (None, None, us) if m.symmetric else _rows(m, registry, b.members, a.members)
+    n = len(vs)
     row_minima, column_minima = [], None
-    for x in a.elements():
-        row = [m.distance(x, y) for y in eb]
-        column = row if m.symmetric else [m.distance(y, x) for y in eb]
+    for u, z in zip(us, zs):
+        row = list(map(d, itertools.repeat(u, n), vs))
+        column = row if e is None else list(map(e, ws, itertools.repeat(z, n)))
         row_minima.append(min(row))
         column_minima = column if column_minima is None else list(map(min, column_minima, column))
     return max(max(row_minima), max(column_minima))
@@ -802,7 +789,7 @@ def hausdorff(m: BaseMetric, a: FiniteSet, b: FiniteSet) -> float:
 
 def _largest_least(xs: Sequence, ys: Sequence, form: tuple, best: float) -> float:
     """max(best, max over x in ``xs`` of min over y in ``ys`` of d(x, y)),
-    exactly, from the rows ``form`` = (d, us, vs) of ``_exact_rows``.
+    exactly, from the exact rows ``form`` = (d, us, vs) of ``_rows``.
 
     The early-exit scan of Taha and Hanbury (IEEE TPAMI 37(11), 2015): a row
     stops at its first distance not above ``best``, the largest minimum so

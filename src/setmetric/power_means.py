@@ -41,13 +41,13 @@ from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     BaseMetric,
-    ElementId,
     FiniteSet,
     _cross_rows,
     _quotient,
     _require_nonempty,
     _require_same_registry,
     _require_scale,
+    _rows,
 )
 from .errors import ParameterError
 
@@ -267,8 +267,8 @@ def _means_into(m: BaseMetric, side: FiniteSet, other: FiniteSet, j: int, q: flo
     member of ``other`` outside ``side`` to the members of ``side``.
 
     From the cross-distance block when it is taken, a chunk of rows at a
-    time; otherwise one row per call, so rows and their errors come in the
-    caller's order.
+    time; otherwise one row of ``_rows`` per call, so rows and their errors
+    come in the caller's order.
     """
     inner = _means(j)
     registry, inside = side.registry, side.ids
@@ -277,13 +277,9 @@ def _means_into(m: BaseMetric, side: FiniteSet, other: FiniteSet, j: int, q: flo
     if rows is not None:
         means = itertools.chain.from_iterable(_mean_rows(j, chunk, q).tolist() for chunk in rows)
         return dict(zip(outside, means)).__getitem__
-    targets = side.elements()
-
-    def mean_into(eid: ElementId) -> float:
-        x = registry.element(eid)
-        return inner([m.distance(x, y) for y in targets], q)
-
-    return mean_into
+    d, us, vs = _rows(m, registry, outside, side.members)
+    row_of, n = dict(zip(outside, us)), len(vs)
+    return lambda eid: inner(list(map(d, itertools.repeat(row_of[eid], n), vs)), q)
 
 
 def sidewise_mean_distance(

@@ -1,20 +1,20 @@
-"""The batched cross distances against a pure-Python reference.
+"""The cross-distance reader and the numpy block against pure-Python references.
 
-From ``core._BLOCK_MIN_PAIRS`` pairs on, the finite-set distances under a
-Euclidean or table metric read their cross distances in batches instead of
-calling ``distance`` per pair: the sums and ``hausdorff`` as exact Python
-rows (``core._exact_rows``), the row-wise means of ``power_means`` from a
-numpy block (``core._cross_rows``). The L_p and discrete metrics stay on the
+Every finite-set distance reads its cross distances through one reader,
+``core._rows``: under a Euclidean or table metric, at every operand size, as
+exact Python rows, and otherwise through ``distance`` pair by pair. From
+``core._BLOCK_MIN_PAIRS`` pairs on, ``hausdorff`` takes an early-exit scan
+of the exact rows and the row-wise means of ``power_means`` a numpy block
+(``core._cross_rows``). The L_p and discrete metrics stay on the
 pair-by-pair path and are checked here too.
 The reference below calls ``distance`` per pair and follows each definition
 directly. Tolerances, fixed before the block was written: minima and maxima
-exact, sums 1e-13 relative, means 1e-12 relative; the rows are held to the
-pair-by-pair pass bit for bit.
+exact, sums 1e-13 relative, means 1e-12 relative; the rows are held to a
+subclass that reads ``distance`` pair by pair, bit for bit.
 """
 
 import math
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -100,6 +100,21 @@ def ref_sidewise(m, a, b, k, i, j, r, p, q):
         into = ref_inner_means(m, side, mean(j), q)
         branches.append(mean(i)([0.0 if x in side else into(x) for x in union], p))
     return mean(k)(branches, r)
+
+
+class ScalarEuclidean(EuclideanMetric):
+    """No batched form, as a subclass: every distance through ``distance``."""
+
+
+class ScalarMatrix(MatrixMetric):
+    """No batched form, as a subclass: every distance through ``distance``."""
+
+
+def pair_by_pair(m):
+    """The same ground metric as ``m``, read through ``distance`` pair by pair."""
+    if isinstance(m, MatrixMetric):
+        return ScalarMatrix(m.ids, m._rows, pseudo=m.pseudo)
+    return ScalarEuclidean()
 
 
 def close(got, ref, rel, scale=None):
@@ -223,11 +238,11 @@ def exact_cases(draw):
 
 
 def assert_rows_equal_the_pair_loop(m, a, b):
-    assert core._exact_rows(m, a.registry, a.members, b.members) is not None
+    assert core._rows(m, a.registry, a.members, b.members)[0] != m.distance
+    scalar = pair_by_pair(m)
     for fn in (pair_sum, group_average, average_metric, semi_metric, hausdorff):
         got = fn(m, a, b)
-        with mock.patch.object(core, "_BLOCK_MIN_PAIRS", math.inf):
-            expected = fn(m, a, b)
+        expected = fn(scalar, a, b)
         assert got.hex() == expected.hex(), fn.__name__
 
 
@@ -312,13 +327,16 @@ def test_large_operands_take_the_block_and_small_ones_do_not():
     registry = ElementRegistry({i: (float(i), float(i % 7)) for i in range(80)})
     table = [[abs(i - j) for j in range(80)] for i in range(80)]
     big, small = registry.set_of(range(40)), registry.set_of(range(8))
-    for batched in (core._exact_rows, core._cross_rows):
-        for m in (EuclideanMetric(), MatrixMetric(range(80), table)):
-            assert batched(m, registry, big.members, big.members) is not None
-            # the verify suites' operands have at most 8 members: they stay scalar
-            assert batched(m, registry, small.members, small.members) is None
-        for m in (LpMetric(3.0), DiscreteMetric()):
-            assert batched(m, registry, big.members, big.members) is None
+    for m in (EuclideanMetric(), MatrixMetric(range(80), table)):
+        assert core._cross_rows(m, registry, big.members, big.members) is not None
+        # the verify suites' operands have at most 8 members: they load no numpy
+        assert core._cross_rows(m, registry, small.members, small.members) is None
+        # the exact rows are read at every size
+        for s in (big, small):
+            assert core._rows(m, registry, s.members, s.members)[0] != m.distance
+    for m in (LpMetric(3.0), DiscreteMetric()):
+        assert core._cross_rows(m, registry, big.members, big.members) is None
+        assert core._rows(m, registry, big.members, big.members)[0] == m.distance
 
 
 @pytest.mark.parametrize("size", [8, 40], ids=["scalar", "block"])
@@ -346,8 +364,9 @@ def test_subclass_with_own_distance_stays_scalar():
 
     registry = ElementRegistry({i: (float(i),) for i in range(60)})
     a, b = registry.set_of(range(30)), registry.set_of(range(20, 60))
-    assert core._cross_rows(Doubled(), registry, a.members, b.members) is None
-    assert core._exact_rows(Doubled(), registry, a.members, b.members) is None
+    doubled = Doubled()
+    assert core._cross_rows(doubled, registry, a.members, b.members) is None
+    assert core._rows(doubled, registry, a.members, b.members)[0] == doubled.distance
     assert pair_sum(Doubled(), a, b) == 2.0 * pair_sum(EuclideanMetric(), a, b)
 
 
@@ -390,7 +409,7 @@ def test_payloads_outside_the_block_range_keep_the_exact_rows(coordinate):
     m = EuclideanMetric()
     # the block refuses the magnitude, math.dist takes it
     assert core._cross_rows(m, registry, a.members, a.members) is None
-    assert core._exact_rows(m, registry, a.members, a.members) is not None
+    assert core._rows(m, registry, a.members, a.members)[0] is math.dist
     assert pair_sum(m, a, a) == ref_sum(m, registry, a, a)
 
 
@@ -446,7 +465,7 @@ def test_hausdorff_is_exact_on_near_ties():
     assert d[block == block.min()].min() != d.min()
     assert d[block == block.max()].max() != d.max()
     for xs, ys, expected in [((0,), sphere.members, d.min()), (sphere.members, (0,), d.max())]:
-        form = core._exact_rows(m, registry, xs, ys)
+        form = core._rows(m, registry, xs, ys)
         assert core._largest_least(xs, ys, form, -math.inf) == expected
     assert hausdorff(m, center, sphere) == ref_hausdorff(m, center, sphere)
 
@@ -525,19 +544,89 @@ def test_bad_payload_in_large_operand_names_the_same_pair(family, bad, message):
 
 @pytest.mark.parametrize("flip", [False, True], ids=["3-d first", "2-d first"])
 @pytest.mark.parametrize("family", list(FAMILIES))
-def test_operands_of_different_dimensions_raise_as_the_scalar_path(family, flip, monkeypatch):
-    # each operand alone is admitted; together they stay on the scalar path
+def test_operands_of_different_dimensions_raise_as_the_scalar_path(family, flip):
+    # each operand alone is admitted; together they stay on the scalar path,
+    # large or of at most 8 members
     points = {i: (float(i), 0.5 * i, 1.0) for i in range(20)}
     points.update({i: (float(i), 0.5 * i) for i in range(20, 40)})
     registry = ElementRegistry(points)
-    a, b = registry.set_of(range(20)), registry.set_of(range(20, 40))
-    if flip:
-        a, b = b, a
-    fn = FAMILIES[family][0]
-    assert core._cross_rows(EuclideanMetric(), registry, a.members, b.members) is None
-    with pytest.raises(DomainError, match="dimension mismatch") as raised:
-        fn(EuclideanMetric(), a, b)
-    monkeypatch.setattr(core, "_BLOCK_MIN_PAIRS", math.inf)
-    with pytest.raises(DomainError) as scalar:
-        fn(EuclideanMetric(), a, b)
-    assert str(raised.value) == str(scalar.value)
+    for size in (20, 3):
+        a, b = registry.set_of(range(size)), registry.set_of(range(20, 20 + size))
+        if flip:
+            a, b = b, a
+        fn = FAMILIES[family][0]
+        assert core._cross_rows(EuclideanMetric(), registry, a.members, b.members) is None
+        with pytest.raises(DomainError, match="dimension mismatch") as raised:
+            fn(EuclideanMetric(), a, b)
+        with pytest.raises(DomainError) as scalar:
+            fn(ScalarEuclidean(), a, b)
+        assert str(raised.value) == str(scalar.value)
+
+
+# ---------------------------------------------------------------------------
+# Small operands read the same rows, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_cases(draw):
+    """A registry of 1 to 12 2-d points, a pseudo table over its ids with
+    d(x, y) above d(y, x) by 4e-13 for x before y, and two sets of 1 to 8 of
+    its ids: singletons, sets sharing members and equal sets among them."""
+    n = draw(st.integers(1, 12))
+    points = draw(st.lists(st.tuples(WIDE, WIDE), min_size=n, max_size=n))
+    registry = ElementRegistry(dict(enumerate(points)))
+    grid = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=n, max_size=n))
+    values = [[abs(x1 - x2) / 8 + abs(y1 - y2) / 8 + (4e-13 if i < j else 0.0)
+               for j, (x2, y2) in enumerate(grid)] for i, (x1, y1) in enumerate(grid)]
+    table = MatrixMetric(list(range(n)), values, pseudo=True)
+    ids = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 8), unique=True)
+    a = draw(ids)
+    b = draw(st.one_of(st.just(a), ids))
+    return registry, table, registry.set_of(a), registry.set_of(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=small_cases(), kinds=st.tuples(*[st.integers(0, 1)] * 3),
+       orders=st.tuples(*[st.sampled_from(ORDERS)] * 3))
+def test_small_operands_equal_the_pair_by_pair_pass_bit_for_bit(case, kinds, orders):
+    registry, table, a, b = case
+    (k, i, j), (r, p, q) = kinds, orders
+    assert core._rows(EuclideanMetric(), registry, a.members, b.members)[0] is math.dist
+    # the table's column pass reads d(y, x), which differs from d(x, y)
+    assert table.symmetric == (len(registry) == 1)
+    for m in (EuclideanMetric(), table):
+        assert hausdorff(m, a, b) == ref_hausdorff(m, a, b)
+        scalar = pair_by_pair(m)
+        for fn in (pair_sum, group_average, average_metric, semi_metric, hausdorff,
+                   min_cross_distance):
+            assert fn(m, a, b).hex() == fn(scalar, a, b).hex(), fn.__name__
+        assert (pointwise_mean_distance(m, a, b, i=i, j=j, p=p, q=q).hex()
+                == pointwise_mean_distance(scalar, a, b, i=i, j=j, p=p, q=q).hex())
+        assert (sidewise_mean_distance(m, a, b, k=k, i=i, j=j, r=r, p=p, q=q).hex()
+                == sidewise_mean_distance(scalar, a, b, k=k, i=i, j=j, r=r, p=p, q=q).hex())
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["built", "added"])
+@pytest.mark.parametrize("stray", [None, (1.0,)], ids=["none", "1-d"])
+def test_the_payload_shape_record_sees_every_add(stray, late):
+    # a stray payload outside both operands keeps them on the rows, with
+    # their values; an operand that holds it is read pair by pair and fails
+    # at the same pair, also where the stray was added after the sets were built
+    points = {k: (k / 3, k % 4 / 5) for k in range(12)}
+    registry = ElementRegistry(points if late else {**points, 12: stray})
+    m, fns = EuclideanMetric(), [fn for fn, _ in FAMILIES.values()]
+    a, b = registry.set_of(range(5)), registry.set_of(range(3, 11))
+    values = [fn(m, a, b) for fn in fns]
+    if late:
+        registry.add(12, stray)
+    assert core._rows(m, registry, a.members, b.members)[0] is math.dist
+    assert [fn(m, a, b) for fn in fns] == values
+    c = registry.set_of([2, 12])
+    assert core._rows(m, registry, a.members, c.members)[0] == m.distance
+    for fn in fns:
+        with pytest.raises(DomainError) as raised:
+            fn(m, a, c)
+        with pytest.raises(DomainError) as scalar:
+            fn(ScalarEuclidean(), a, c)
+        assert str(raised.value) == str(scalar.value), fn.__name__

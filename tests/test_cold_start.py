@@ -9,7 +9,6 @@ Each case runs in a fresh interpreter, since a module stays in
 
 import importlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -18,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import setmetric
-from setmetric.continuous import _MEMO_MAX_PAIRS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -70,11 +68,10 @@ def _fuzzy_workspace(sizes: dict[str, int], shift: int) -> dict:
 
 
 # three 30-member sets, each sharing 20 members with the next, as the
-# benchmark's; and two pairs on either side of the memo bound
-_SIDE = math.isqrt(_MEMO_MAX_PAIRS)
+# benchmark's; and two disjoint pairs of 36 x 36 and 36 x 37 members
 FUZZY = _fuzzy_workspace({"F1": 30, "F2": 30, "F3": 30}, shift=10)
-AT_BOUND = _fuzzy_workspace({"A": _SIDE, "B": _MEMO_MAX_PAIRS // _SIDE}, shift=_SIDE)
-ABOVE_BOUND = _fuzzy_workspace({"A": _SIDE, "B": _MEMO_MAX_PAIRS // _SIDE + 1}, shift=_SIDE)
+AT_BOUND = _fuzzy_workspace({"A": 36, "B": 36}, shift=36)
+ABOVE_BOUND = _fuzzy_workspace({"A": 36, "B": 37}, shift=36)
 
 
 def module_loaded(statements: str, module: str = "numpy") -> bool:
@@ -190,17 +187,11 @@ def test_small_fuzzy_sets_do_not_load_numpy(workspaces):
     assert not module_loaded(cli_run(argv))
 
 
-@pytest.mark.parametrize("name, memo", [("at_bound", True), ("above_bound", False)])
-def test_fuzzy_sets_on_either_side_of_the_memo_bound_load_no_numpy(workspaces, name, memo):
-    # the memo is chosen by the count of member pairs; above the bound the
-    # cut distances read exact rows, which need no numpy either
-    spy = (f"import setmetric.continuous as c\nmemo = c._Memo\n"
-           f"c._Memo = lambda m: (print('memo'), memo(m))[1]\n")
+@pytest.mark.parametrize("name", ["at_bound", "above_bound"])
+def test_fuzzy_sets_of_1296_and_1332_pairs_load_no_numpy(workspaces, name):
+    # their cut distances read exact rows, which need no numpy
     argv = ["dist", "--workspace", workspaces[name], "--family", "fuzzy", "A", "B"]
-    assert not module_loaded(spy + cli_run(argv))
-    result = subprocess.run([sys.executable, "-c", spy + cli_run(argv)],
-                            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
-    assert (result.stdout.splitlines()[0] == "memo") is memo
+    assert not module_loaded(cli_run(argv))
 
 
 def test_bare_import_loads_no_module_of_the_package():

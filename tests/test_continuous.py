@@ -48,6 +48,7 @@ from setmetric.continuous import (
     _sample_interval_points,
     _sample_sides,
 )
+from setmetric import continuous
 from setmetric.verify import random_interval_pair
 
 
@@ -780,6 +781,24 @@ class TestSampleCountRatio:
         a, b = U((0, 1)), U((5, 6))
         with pytest.raises(SamplingError):
             sample_count_ratio(a, b, SamplePlan(*MISSES_5_6))
+
+    @pytest.mark.parametrize("kind", ["interval", "finite"])
+    def test_empty_denominator_is_refused_before_any_draw(self, kind, line_registry, monkeypatch):
+        if kind == "interval":
+            population, a, empty = U((0, 9)), U((0, 3)), U()
+        else:
+            population, a, empty = (line_registry.universe(), line_registry.set_of([0, 1]),
+                                    line_registry.set_of([]))
+        # an empty numerator still gives 0.0, from a sample
+        assert sample_count_ratio(empty, a, SamplePlan(population, n=100, seed=0)) == 0.0
+
+        def draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(continuous, "_sample_interval_points", draw)
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        with pytest.raises(EmptySetError, match="^sample_count_ratio requires a non-empty denominator$"):
+            sample_count_ratio(a, empty, SamplePlan(population, n=10**6, seed=0))
 
 
 class TestFuzzy:

@@ -30,7 +30,7 @@ from setmetric import (
     Workspace,
     fuzzy_distance,
 )
-from setmetric.core import _Frozen, _Memo
+from setmetric.core import _Frozen
 from setmetric.verify import CheckRow
 
 REGISTRY = ElementRegistry({"a": [0.0], "b": [1.0], "c": [2.0]})
@@ -172,21 +172,3 @@ class TestFuzzyGroundReads:
         b = FuzzySet({k: rng.choice(grades) for k in range(size // 2, size + size // 2)})
         assert (fuzzy_distance(EuclideanMetric(), registry, a, b)
                 == fuzzy_distance(Scalar(), registry, a, b) > 0)
-
-    def test_memo_evaluates_a_pair_once_and_keeps_no_error(self):
-        seen = []
-
-        class Counting(EuclideanMetric):
-            def distance(self, x, y):
-                seen.append((x.id, y.id))
-                return super().distance(x, y)
-
-        registry = ElementRegistry({"a": [0.1, 0.2], "b": [0.7, 1.3], "d": None})
-        a, b, d = map(registry.element, "abd")
-        memo = _Memo(Counting())
-        assert memo.distance(a, b) == memo.distance(a, b) == EuclideanMetric().distance(a, b)
-        assert memo.distance(b, a) == EuclideanMetric().distance(b, a)
-        for _ in range(2):
-            with pytest.raises(DomainError, match=r"got 'a'/'d'$"):
-                memo.distance(a, d)
-        assert seen == [("a", "b"), ("b", "a"), ("a", "d"), ("a", "d")]
